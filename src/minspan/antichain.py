@@ -31,19 +31,32 @@ def _sweep_minimal(sorted_intervals: Iterable[Interval]) -> list[Interval]:
     output is an antichain in normal form.
     """
     out: list[Interval] = []
-    for iv in sorted_intervals:
-        if out:
-            if out[-1][0] == iv[0]:
+    append, pop = out.append, out.pop
+    last_left = last_right = None
+    for cur in sorted_intervals:
+        left, right = cur
+        if last_left is not None:
+            if last_left == left:
                 # same left, smaller-or-equal right already kept
                 continue
-            while out and out[-1][1] >= iv[1]:
-                out.pop()
-        out.append(iv)
+            while last_right >= right:
+                pop()
+                if out:
+                    last_left, last_right = out[-1]
+                else:
+                    last_left = last_right = None
+                    break
+        append(cur)
+        last_left, last_right = left, right
     return out
 
 
 class Antichain:
-    """A normalized antichain of nonempty intervals, or the top element {∅}."""
+    """A normalized antichain of nonempty intervals, or the top element {∅}.
+
+    The public constructors check their input; computed results, normal by
+    construction, are wrapped by the unchecked :meth:`_trusted` instead.
+    """
 
     __slots__ = ("_intervals", "_top")
 
@@ -56,15 +69,23 @@ class Antichain:
             if prev is not None and (iv[0] <= prev[0] or iv[1] <= prev[1]):
                 raise ValueError(f"not in normal form: {prev} before {iv}")
             prev = iv
-        object.__setattr__(self, "_intervals", ivs)
-        object.__setattr__(self, "_top", top)
+        self._intervals = ivs
+        self._top = top
 
     # construction ---------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, intervals: Iterable[Interval]) -> "Antichain":
+        """Wrap intervals already in normal form, without checking them."""
+        self = object.__new__(cls)
+        self._intervals = tuple(intervals)
+        self._top = False
+        return self
+
+    @classmethod
     def normalize(cls, intervals: Iterable[IntervalLike]) -> "Antichain":
         """The antichain of inclusion-minimal intervals of an arbitrary collection."""
-        return cls(_sweep_minimal(sorted(map(_as_interval, intervals))))
+        return cls._trusted(_sweep_minimal(sorted(map(_as_interval, intervals))))
 
     @classmethod
     def singleton(cls, left: int, right: int | None = None) -> "Antichain":
@@ -187,7 +208,7 @@ class GeneralAntichain:
             while start < end and ivs[end - 1][0] == ivs[end - 1][1] == high_ray - 1:
                 high_ray -= 1
                 end -= 1
-        return cls(low_ray, Antichain(ivs[start:end]), high_ray)
+        return cls(low_ray, Antichain._trusted(ivs[start:end]), high_ray)
 
     @classmethod
     def top(cls) -> "GeneralAntichain":

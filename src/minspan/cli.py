@@ -98,8 +98,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     with open(args.indexfile, encoding="utf-8") as fh:
         index = PositionalIndex.load_jsonl(fh)
-    if args.snippets < 0:
-        raise ValueError("--snippets must be nonnegative")
     results = search(index, args.query, k=args.snippets)
     if args.doc is not None:
         if args.doc not in index.docs:

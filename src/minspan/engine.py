@@ -8,11 +8,13 @@ evaluator is a fold over the AST.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import queries as q
-from .antichain import BOTTOM, Antichain
+from .antichain import Antichain
 from .indexing import PositionalIndex
 from .intervals import Interval
 from .operators import (
@@ -36,40 +38,35 @@ def evaluate(ast: q.Query, index: PositionalIndex, doc_id: str) -> Antichain:
 
 
 def _eval(ast: q.Query, index: PositionalIndex, doc_id: str) -> Antichain:
-    match ast:
-        case q.Term(text):
-            return Antichain.of_positions(index.positions(doc_id, text))
-        case q.Or(children):
-            result = _eval(children[0], index, doc_id)
-            for child in children[1:]:
-                result = join(result, _eval(child, index, doc_id))
-            return result
-        case q.And(children):
-            result = _eval(children[0], index, doc_id)
-            for child in children[1:]:
-                result = meet(result, _eval(child, index, doc_id))
-            return result
-        case q.Minus(left, right):
-            return pseudo_difference(_eval(left, index, doc_id), _eval(right, index, doc_id))
-        case q.OrderedMeet(left, right):
-            return ordered_meet(_eval(left, index, doc_id), _eval(right, index, doc_id))
-        case q.Block(left, right):
-            return block(_eval(left, index, doc_id), _eval(right, index, doc_id))
-        case q.ContainmentOp(left, right, mode):
-            return filter_containment(
-                _eval(left, index, doc_id), _eval(right, index, doc_id), mode
-            )
-        case q.StrictContainmentOp(left, right, mode):
-            return strict_containment(
-                _eval(left, index, doc_id), _eval(right, index, doc_id), mode
-            )
-        case q.Within(child, k):
-            inner = _eval(child, index, doc_id)
-            if inner.is_top:
-                return inner
-            return Antichain(iv for iv in inner.intervals if iv.length <= k)
-        case _:
-            raise TypeError(f"not a query node: {ast!r}")
+    if isinstance(ast, q.Term):
+        return Antichain.of_positions(index.positions(doc_id, ast.text))
+    op = _OPERATORS.get(type(ast))
+    if op is None:
+        raise TypeError(f"not a query node: {ast!r}")
+    if isinstance(ast, (q.Or, q.And)):
+        return reduce(op, (_eval(child, index, doc_id) for child in ast.children))
+    args = [_eval(v, index, doc_id) if isinstance(v, q.Query) else v for v in vars(ast).values()]
+    return op(*args)
+
+
+def _within(a: Antichain, k: int) -> Antichain:
+    if a.is_top:
+        return a
+    return Antichain._trusted(iv for iv in a.intervals if iv.length <= k)
+
+
+# OR and AND fold their children; the other nodes apply their operator to
+# their evaluated operands followed by their mode or window
+_OPERATORS: dict[type, Callable[..., Antichain]] = {
+    q.Or: join,
+    q.And: meet,
+    q.Minus: pseudo_difference,
+    q.OrderedMeet: ordered_meet,
+    q.Block: block,
+    q.ContainmentOp: filter_containment,
+    q.StrictContainmentOp: strict_containment,
+    q.Within: _within,
+}
 
 
 def snippets(a: Antichain, k: int) -> list[Interval]:
@@ -125,6 +122,8 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
 
     Documents with an empty result are dropped; ties rank by document id.
     """
+    if k < 0:
+        raise ValueError(f"snippet count k must be nonnegative, got {k}")
     ast = q.parse_query(query_text)
     results: list[SearchResult] = []
     for doc_id in index.doc_ids():

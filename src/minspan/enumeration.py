@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .antichain import BOTTOM, TOP, Antichain
+from .antichain import TOP, Antichain
 from .intervals import Interval
 from .operators import rank
 
@@ -45,7 +45,7 @@ def enumerate_lattice(n: int) -> Iterator[Antichain]:
     stack: list[Interval] = []
 
     def grow(lo: int, ro: int) -> Iterator[Antichain]:
-        yield Antichain(tuple(stack))
+        yield Antichain._trusted(stack)
         for i in range(lo, n):
             for j in range(max(i, ro), n):
                 stack.append(Interval(i, j))

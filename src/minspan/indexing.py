@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from operator import lt
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
@@ -55,30 +56,44 @@ class PositionalIndex:
 
     @classmethod
     def load_jsonl(cls, fh: TextIO) -> "PositionalIndex":
+        """Read a dump; any bad record raises ValueError naming its line."""
         index = cls()
         for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                doc_id = record["doc"]
-                length = record["length"]
-                postings = {
-                    term: tuple(int(p) for p in ps)
-                    for term, ps in record["postings"].items()
-                }
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                doc_id, length, postings = _parse_record(line)
+                if doc_id in index.docs:
+                    raise ValueError(f"duplicate document id: {doc_id!r}")
+            except ValueError as exc:
                 raise ValueError(f"bad index record on line {line_no}: {exc}") from exc
-            if doc_id in index.docs:
-                raise ValueError(f"duplicate document id: {doc_id!r}")
-            for term, ps in postings.items():
-                if any(q <= p for p, q in zip(ps, ps[1:])) or (ps and (ps[0] < 0 or ps[-1] >= length)):
-                    raise ValueError(f"bad positions for {term!r} in {doc_id!r}")
-                if not ps:
-                    raise ValueError(f"empty position list for {term!r} in {doc_id!r}")
             index.docs[doc_id] = (length, postings)
         return index
+
+
+def _parse_record(line: str) -> tuple[str, int, dict[str, tuple[int, ...]]]:
+    try:
+        record = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(record, dict) or not record.keys() >= {"doc", "length", "postings"}:
+        raise ValueError("not a JSON object with doc, length and postings")
+    doc_id, length, raw = record["doc"], record["length"], record["postings"]
+    if not isinstance(doc_id, str):
+        raise ValueError(f"document id {doc_id!r} is not a string")
+    # type() and not isinstance(): JSON true and false load as bool, an int subclass
+    if type(length) is not int or length < 0:
+        raise ValueError(f"length {length!r} of {doc_id!r} is not a nonnegative integer")
+    if not isinstance(raw, dict):
+        raise ValueError(f"postings of {doc_id!r} are not a JSON object")
+    postings = {}
+    for term, ps in raw.items():
+        if not isinstance(ps, list) or not ps or set(map(type, ps)) != {int}:
+            raise ValueError(f"positions of {term!r} in {doc_id!r} are not a nonempty list of integers")
+        if ps[0] < 0 or ps[-1] >= length or not all(map(lt, ps, ps[1:])):
+            raise ValueError(f"bad positions for {term!r} in {doc_id!r}")
+        postings[term] = tuple(ps)
+    return doc_id, length, postings
 
 
 def build_index(docs: Iterable[tuple[str, str]]) -> PositionalIndex:

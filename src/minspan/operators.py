@@ -1,7 +1,7 @@
 """Lattice and derived operators on interval antichains.
 
 Join, meet, order, pseudo-difference and the containment filters are all
-single-pass greedy merges over normal forms, so each runs in time linear
+greedy merges over normal forms, so each runs in time linear
 in the sizes of its operands (plus output, where the output can be
 larger). The top element behaves as the antichain {∅}: the empty interval
 is a subset of everything and a superset of nothing.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .antichain import BOTTOM, TOP, Antichain
+from .antichain import BOTTOM, TOP, Antichain, _sweep_minimal
 from .intervals import Interval, interval_unchecked
 
 __all__ = [
@@ -32,45 +32,19 @@ __all__ = [
 
 
 def leq(a: Antichain, b: Antichain) -> bool:
-    """Order of the lattice: every interval of a contains some interval of b."""
-    if a.is_bottom or b.is_top:
-        return True
-    if a.is_top or b.is_bottom:
-        return False
-    bs = b.intervals
-    nb = len(bs)
-    j = 0
-    for iv in a.intervals:
-        while j < nb and bs[j][0] < iv[0]:
-            j += 1
-        if j == nb or bs[j][1] > iv[1]:
-            return False
-    return True
+    """Order of the lattice: every interval of a contains some interval of b.
+
+    By residuation a <= b exactly when a - b is the bottom element.
+    """
+    return pseudo_difference(a, b).is_bottom
 
 
 def join(a: Antichain, b: Antichain) -> Antichain:
     """Least upper bound: the inclusion-minimal intervals of the union."""
     if a.is_top or b.is_top:
         return TOP
-    out: list[Interval] = []
-    append, pop = out.append, out.pop
-    last_left = last_right = None
     # sorting the concatenation of two sorted runs is a single galloping merge
-    for cur in sorted(a.intervals + b.intervals):
-        left, right = cur
-        if last_left is not None:
-            if last_left == left:
-                continue
-            while last_right >= right:
-                pop()
-                if out:
-                    last_left, last_right = out[-1]
-                else:
-                    last_left = last_right = None
-                    break
-        append(cur)
-        last_left, last_right = left, right
-    return Antichain(out)
+    return Antichain._trusted(_sweep_minimal(sorted(a.intervals + b.intervals)))
 
 
 def meet(a: Antichain, b: Antichain) -> Antichain:
@@ -105,7 +79,7 @@ def meet(a: Antichain, b: Antichain) -> Antichain:
             if last_left is None or x > last_left:
                 out.append(interval_unchecked(x, y))
                 last_left = x
-    return Antichain(out)
+    return Antichain._trusted(out)
 
 
 def pseudo_difference(a: Antichain, b: Antichain) -> Antichain:
@@ -125,7 +99,7 @@ def pseudo_difference(a: Antichain, b: Antichain) -> Antichain:
             j += 1
         if j == nb or bs[j][1] > iv[1]:
             out.append(iv)
-    return Antichain(out)
+    return Antichain._trusted(out)
 
 
 def symmetric_difference(a: Antichain, b: Antichain) -> Antichain:
@@ -152,7 +126,7 @@ def intersection(a: Antichain, b: Antichain) -> Antichain:
             i += 1
         else:
             j += 1
-    return Antichain(out)
+    return Antichain._trusted(out)
 
 
 class Containment(str, Enum):
@@ -173,42 +147,34 @@ def filter_containment(a: Antichain, b: Antichain, mode: Containment | str) -> A
     ``containing`` keeps intervals of a that contain some interval of b,
     ``contained_in`` those lying inside some interval of b; the ``not_``
     modes keep the complement. The result is a subset of a, hence already an
-    antichain in normal form.
+    antichain in normal form. The containing modes are pseudo-differences:
+    a - b keeps the intervals of a containing no interval of b, and
+    a - (a - b) the rest.
     """
     mode = Containment(mode)
-    want_sub = mode in (Containment.CONTAINING, Containment.NOT_CONTAINING)
-    keep_found = mode in (Containment.CONTAINING, Containment.CONTAINED_IN)
+    if mode is Containment.NOT_CONTAINING:
+        return pseudo_difference(a, b)
+    if mode is Containment.CONTAINING:
+        return pseudo_difference(a, pseudo_difference(a, b))
+    keep_found = mode is Containment.CONTAINED_IN
     if a.is_bottom:
         return BOTTOM
     if b.is_bottom:
         return BOTTOM if keep_found else a
-    if a.is_top:
-        # sole member is the empty interval
-        found = b.is_top if want_sub else True
-        return TOP if found == keep_found else BOTTOM
-    if b.is_top:
-        found = want_sub  # the empty interval sits inside everything
-        return a if found == keep_found else BOTTOM
+    if a.is_top or b.is_top:
+        # the empty interval lies inside everything, and nothing lies inside it
+        return a if a.is_top == keep_found else BOTTOM
     bs = b.intervals
     nb = len(bs)
     out: list[Interval] = []
-    if want_sub:
-        j = 0
-        for iv in a.intervals:
-            while j < nb and bs[j][0] < iv[0]:
-                j += 1
-            found = j < nb and bs[j][1] <= iv[1]
-            if found == keep_found:
-                out.append(iv)
-    else:
-        j = -1
-        for iv in a.intervals:
-            while j + 1 < nb and bs[j + 1][0] <= iv[0]:
-                j += 1
-            found = j >= 0 and bs[j][1] >= iv[1]
-            if found == keep_found:
-                out.append(iv)
-    return Antichain(out)
+    j = -1
+    for iv in a.intervals:
+        while j + 1 < nb and bs[j + 1][0] <= iv[0]:
+            j += 1
+        found = j >= 0 and bs[j][1] >= iv[1]
+        if found == keep_found:
+            out.append(iv)
+    return Antichain._trusted(out)
 
 
 def strict_containment(a: Antichain, b: Antichain, mode: StrictContainment | str) -> Antichain:
@@ -247,7 +213,7 @@ def ordered_meet(a: Antichain, b: Antichain) -> Antichain:
         if out and out[-1][1] == right:
             out.pop()
         out.append(interval_unchecked(iv[0], right))
-    return Antichain(out)
+    return Antichain._trusted(out)
 
 
 def block(a: Antichain, b: Antichain) -> Antichain:
@@ -272,7 +238,7 @@ def block(a: Antichain, b: Antichain) -> Antichain:
             break
         if bs[j][0] == want:
             out.append(interval_unchecked(iv[0], bs[j][1]))
-    return Antichain(out)
+    return Antichain._trusted(out)
 
 
 def rank(a: Antichain, n: int) -> int:

@@ -219,7 +219,8 @@ class _Parser:
         while self._at_keyword("WITHIN"):
             self.advance()
             token = self.peek()
-            if token.kind != "word" or not token.value.isdigit():
+            # str.isdigit alone would admit superscripts and non-ASCII digits
+            if token.kind != "word" or not (token.value.isascii() and token.value.isdigit()):
                 raise QuerySyntaxError("WITHIN needs an integer window", token.position)
             self.advance()
             k = int(token.value)

@@ -15,7 +15,7 @@ unbounded universe infinite parts are kept symbolic as rays of a
 
 from __future__ import annotations
 
-from .antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
+from .antichain import BOTTOM, Antichain, CriticalSet, GeneralAntichain
 from .intervals import EMPTY, FULL, ExtendedInterval, Interval, Universe, interval_unchecked
 
 __all__ = [
@@ -30,7 +30,12 @@ __all__ = [
 
 def coatom(n: int) -> Antichain:
     """The antichain of all singletons of {0..n-1}: the unique coatom there."""
-    return Antichain.of_positions(range(n))
+    return _singletons(range(n))
+
+
+def _singletons(positions: range | list[int]) -> Antichain:
+    # the callers pass strictly increasing positions
+    return Antichain._trusted(interval_unchecked(x, x) for x in positions)
 
 
 def complement_singletons(iv: ExtendedInterval, universe: Universe) -> GeneralAntichain:
@@ -52,7 +57,7 @@ def complement_singletons(iv: ExtendedInterval, universe: Universe) -> GeneralAn
         high = None if iv.right is None else iv.right + 1
         return GeneralAntichain.make(low, BOTTOM, high)
     positions = [x for x in range(n) if not iv.contains_point(x)]
-    return GeneralAntichain.from_antichain(Antichain.of_positions(positions))
+    return GeneralAntichain.from_antichain(_singletons(positions))
 
 
 def bracket(low_anchor: int, high_anchor: int) -> Antichain:
@@ -63,8 +68,8 @@ def bracket(low_anchor: int, high_anchor: int) -> Antichain:
     singletons. This is the meet of the two ray complements.
     """
     if low_anchor < high_anchor:
-        return Antichain((Interval(low_anchor, high_anchor),))
-    return Antichain.of_positions(range(high_anchor, low_anchor + 1))
+        return Antichain._trusted((interval_unchecked(low_anchor, high_anchor),))
+    return _singletons(range(high_anchor, low_anchor + 1))
 
 
 def critical_intervals(a: Antichain, universe: Universe) -> CriticalSet:
@@ -122,7 +127,7 @@ def meet_of_irreducibles(s: CriticalSet, universe: Universe) -> GeneralAntichain
     for prev, cur in zip(es, es[1:]):
         assert prev.right is not None and cur.left is not None
         pieces.extend(bracket(cur.left - 1, prev.right + 1).intervals)
-    result = GeneralAntichain.make(low, Antichain(pieces), high)
+    result = GeneralAntichain.make(low, Antichain._trusted(pieces), high)
     if n is not None:
         return GeneralAntichain.from_antichain(result.materialize(n))
     return result
@@ -146,7 +151,6 @@ def relative_pseudo_complement(
         return GeneralAntichain.bottom()
 
     avs, bvs = a.intervals, b.intervals
-    m = len(bvs)
     # a witness below a one-sided ray only constrains one extreme
     left_cond = avs[0].right <= bvs[0].right - 1
     right_cond = avs[-1].left >= bvs[-1].left + 1
@@ -182,25 +186,16 @@ def relative_pseudo_complement(
     high: int | None = None
     pieces: list[Interval] = []
     if left_cond:
-        _emit_bracket(pieces, bvs[t_min - 1].left, bvs[0].right)
+        pieces.extend(bracket(bvs[t_min - 1].left, bvs[0].right).intervals)
     else:
         low = bvs[t_min - 1].left
     for p, q in zip(gaps, gaps[1:]):
-        _emit_bracket(pieces, bvs[q - 1].left, bvs[p].right)
+        pieces.extend(bracket(bvs[q - 1].left, bvs[p].right).intervals)
     if right_cond:
-        _emit_bracket(pieces, bvs[-1].left, bvs[t_max].right)
+        pieces.extend(bracket(bvs[-1].left, bvs[t_max].right).intervals)
     else:
         high = bvs[t_max].right
-    return _wrap(low, Antichain(pieces), high, n)
-
-
-def _emit_bracket(pieces: list[Interval], low_anchor: int, high_anchor: int) -> None:
-    if low_anchor < high_anchor:
-        pieces.append(interval_unchecked(low_anchor, high_anchor))
-    else:
-        pieces.extend(
-            interval_unchecked(x, x) for x in range(high_anchor, low_anchor + 1)
-        )
+    return _wrap(low, Antichain._trusted(pieces), high, n)
 
 
 def _wrap(low: int | None, core: Antichain, high: int | None, n: int | None) -> GeneralAntichain:

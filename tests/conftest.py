@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from minspan.antichain import TOP, Antichain
+from minspan.antichain import TOP, Antichain, GeneralAntichain
 from minspan.enumeration import enumerate_lattice
 from minspan.intervals import UNBOUNDED, Interval
 from minspan.operators import join, leq, meet, pseudo_difference
@@ -34,6 +34,25 @@ DATA_DIR = Path(__file__).parent / "data"
 def ac(*pairs: tuple[int, int]) -> Antichain:
     """Shorthand: antichain from (left, right) pairs, normalized."""
     return Antichain.normalize([Interval(l, r) for l, r in pairs])
+
+
+def assert_normal(value):
+    """Assert that an antichain, or a general antichain's core, is in normal form.
+
+    The operators wrap their results without checking them, so the tests
+    check each result here. Returns the value, so a call can wrap an
+    expression in place.
+    """
+    a = value.core if isinstance(value, GeneralAntichain) else value
+    if a.is_top:
+        return value
+    ivs = a.intervals
+    assert type(ivs) is tuple, a
+    for iv in ivs:
+        assert type(iv) is Interval and type(iv[0]) is type(iv[1]) is int and iv[0] <= iv[1], a
+    for prev, cur in zip(ivs, ivs[1:]):
+        assert prev[0] < cur[0] and prev[1] < cur[1], a
+    return value
 
 
 def sized_antichain(rng: random.Random, size: int) -> Antichain:

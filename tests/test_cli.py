@@ -56,6 +56,13 @@ class TestIndexAndQuery:
         run_cli(capsys, "index", str(RHYME), "-o", str(two))
         assert one.read_bytes() == two.read_bytes()
 
+    def test_negative_snippets_is_runtime_error(self, capsys, tmp_path):
+        idx = tmp_path / "idx.jsonl"
+        run_cli(capsys, "index", str(RHYME), "-o", str(idx))
+        code = main(["query", str(idx), "--q", "hot", "--snippets", "-1"])
+        assert code == 2
+        assert "nonnegative" in capsys.readouterr().err
+
     def test_parse_error_is_runtime_error(self, capsys, tmp_path):
         idx = tmp_path / "idx.jsonl"
         run_cli(capsys, "index", str(RHYME), "-o", str(idx))

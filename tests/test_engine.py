@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ac
+from conftest import ac, assert_normal
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.engine import evaluate, format_score, score, search, snippets
 from minspan.indexing import build_index
@@ -27,7 +27,7 @@ def rhyme_index(rhyme_text):
 
 
 def run(index, text, doc="rhyme"):
-    return evaluate(parse_query(text), index, doc)
+    return assert_normal(evaluate(parse_query(text), index, doc))
 
 
 class TestEvaluate:
@@ -98,15 +98,17 @@ class TestHomomorphism:
         terms = st.sampled_from(self.TERMS)
         x = q.Term(data.draw(terms))
         y = q.Term(data.draw(terms))
-        ex = evaluate(x, index, "rhyme")
-        ey = evaluate(y, index, "rhyme")
-        assert evaluate(q.Or((x, y)), index, "rhyme") == join(ex, ey)
-        assert evaluate(q.And((x, y)), index, "rhyme") == meet(ex, ey)
-        assert evaluate(q.Minus(x, y), index, "rhyme") == pseudo_difference(ex, ey)
-        assert evaluate(q.OrderedMeet(x, y), index, "rhyme") == ordered_meet(ex, ey)
-        assert evaluate(q.Block(x, y), index, "rhyme") == block(ex, ey)
+        def ev(ast):
+            return assert_normal(evaluate(ast, index, "rhyme"))
+
+        ex, ey = ev(x), ev(y)
+        assert ev(q.Or((x, y))) == join(ex, ey)
+        assert ev(q.And((x, y))) == meet(ex, ey)
+        assert ev(q.Minus(x, y)) == pseudo_difference(ex, ey)
+        assert ev(q.OrderedMeet(x, y)) == ordered_meet(ex, ey)
+        assert ev(q.Block(x, y)) == block(ex, ey)
         k = data.draw(st.integers(1, 4))
-        assert evaluate(q.Within(q.And((x, y)), k), index, "rhyme") == Antichain(
+        assert ev(q.Within(q.And((x, y)), k)) == Antichain(
             [iv for iv in meet(ex, ey).intervals if iv.length <= k]
         )
 
@@ -187,3 +189,8 @@ class TestSearch:
         index = build_index([("b", rhyme_text), ("a", rhyme_text)])
         results = search(index, "hot", k=0)
         assert [r.doc_id for r in results] == ["a", "b"]
+
+    def test_negative_snippet_count_rejected(self, rhyme_text):
+        index = build_index([("rhyme", rhyme_text)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            search(index, "hot", k=-1)

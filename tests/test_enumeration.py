@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import ac
+from conftest import ac, assert_normal
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.enumeration import (
     WIDTH_BOUND,
@@ -51,6 +51,8 @@ class TestEnumerate:
     def test_no_duplicates(self, n):
         seen = list(enumerate_lattice(n))
         assert len(set(seen)) == len(seen)
+        for a in seen:
+            assert_normal(a)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

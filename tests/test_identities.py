@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from hypothesis import given
 
-from conftest import ac, antichains
+from conftest import ac, antichains, assert_normal
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.enumeration import enumerate_lattice
 from minspan.operators import (
@@ -19,6 +19,19 @@ from minspan.operators import (
     rank,
     strict_containment,
     symmetric_difference,
+)
+
+
+def _checked(op):
+    return lambda *args: assert_normal(op(*args))
+
+
+# every operator result in this module is checked for normal form
+block, filter_containment, intersection, join, meet = map(
+    _checked, (block, filter_containment, intersection, join, meet)
+)
+ordered_meet, pseudo_difference, strict_containment, symmetric_difference = map(
+    _checked, (ordered_meet, pseudo_difference, strict_containment, symmetric_difference)
 )
 
 

@@ -62,14 +62,24 @@ class TestJsonl:
         assert '"doc": "rhyme"' in bufs[0]
 
     def test_bad_records_rejected(self):
+        good = '{"doc": "ok", "length": 3, "postings": {"x": [0, 2]}}\n'
         for bad in (
-            "not json\n",
-            '{"doc": "a"}\n',
-            '{"doc": "a", "length": 2, "postings": {"x": [1, 1]}}\n',
-            '{"doc": "a", "length": 2, "postings": {"x": [5]}}\n',
-            '{"doc": "a", "length": 2, "postings": {"x": []}}\n',
-            '{"doc": "a", "length": 1, "postings": {}}\n'
-            '{"doc": "a", "length": 1, "postings": {}}\n',
+            "not json",
+            '{"doc": "a"}',
+            "[1, 2]",
+            '{"doc": "a", "length": 2, "postings": {"x": [1, 1]}}',
+            '{"doc": "a", "length": 2, "postings": {"x": [5]}}',
+            '{"doc": "a", "length": 2, "postings": {"x": []}}',
+            '{"doc": "ok", "length": 1, "postings": {}}',
+            '{"doc": "a", "length": 3, "postings": {"x": [1.7]}}',
+            '{"doc": "a", "length": 3, "postings": {"x": [true]}}',
+            '{"doc": "a", "length": 3, "postings": {"x": "12"}}',
+            '{"doc": 7, "length": 3, "postings": {}}',
+            '{"doc": "a", "length": -1, "postings": {}}',
+            '{"doc": "a", "length": "3", "postings": {"x": [1]}}',
+            '{"doc": "a", "length": 3, "postings": []}',
+            '{"doc": "a", "length": 3, "postings": {"x": ' + "[" * 100_000 + "]" * 100_000 + "}}",
         ):
-            with pytest.raises(ValueError):
-                PositionalIndex.load_jsonl(io.StringIO(bad))
+            # the bad record follows a good one and a blank line
+            with pytest.raises(ValueError, match="^bad index record on line 3: "):
+                PositionalIndex.load_jsonl(io.StringIO(good + "\n" + bad + "\n"))

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import SCALING_OPS, ac, antichains, growth_ratios, scaling_cases
+from conftest import SCALING_OPS, ac, antichains, assert_normal, growth_ratios, scaling_cases
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.intervals import Interval
 from minspan.operators import (
@@ -77,7 +77,7 @@ class TestJoin:
         assert join(PP, HOT) == expected
 
     def test_bottom_identity(self, e4):
-        assert all(join(a, BOTTOM) == a for a in e4)
+        assert all(assert_normal(join(a, BOTTOM)) == a for a in e4)
 
     def test_incomparable_union(self):
         assert join(ac((0, 2)), ac((1, 3))) == ac((0, 2), (1, 3))
@@ -87,7 +87,7 @@ class TestJoin:
 
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
-        assert join(a, b) == brute_minimal(list(a.intervals) + list(b.intervals))
+        assert assert_normal(join(a, b)) == brute_minimal(list(a.intervals) + list(b.intervals))
 
 
 class TestMeet:
@@ -95,7 +95,7 @@ class TestMeet:
         assert meet(PEASE, PORRIDGE) == PP
 
     def test_top_identity(self, e4):
-        assert all(meet(a, TOP) == a for a in e4)
+        assert all(assert_normal(meet(a, TOP)) == a for a in e4)
 
     def test_bottom_annihilates(self):
         assert meet(ac((1, 2)), BOTTOM) == BOTTOM
@@ -108,29 +108,29 @@ class TestMeet:
 
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
-        assert meet(a, b) == brute_meet(a, b)
+        assert assert_normal(meet(a, b)) == brute_meet(a, b)
 
 
 class TestPseudoDifference:
     def test_self_is_bottom(self, e4):
-        assert all(pseudo_difference(a, a) == BOTTOM for a in e4)
+        assert all(assert_normal(pseudo_difference(a, a)) == BOTTOM for a in e4)
 
     def test_bottom_right_identity(self, e4):
-        assert all(pseudo_difference(a, BOTTOM) == a for a in e4)
+        assert all(assert_normal(pseudo_difference(a, BOTTOM)) == a for a in e4)
 
     def test_drops_dominated(self):
         assert pseudo_difference(ac((0, 1), (5, 5)), ac((1, 1))) == ac((5, 5))
 
     def test_complement_of_top(self, e4):
         for a in e4:
-            assert pseudo_difference(TOP, a) == (BOTTOM if a == TOP else TOP)
+            assert assert_normal(pseudo_difference(TOP, a)) == (BOTTOM if a == TOP else TOP)
 
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
         expected = Antichain(
             [i for i in a.intervals if not any(i.contains(j) for j in b.intervals)]
         )
-        assert pseudo_difference(a, b) == expected
+        assert assert_normal(pseudo_difference(a, b)) == expected
 
 
 class TestDerivedSetOps:
@@ -159,13 +159,13 @@ class TestContainmentFilters:
     def test_not_containing_is_pseudo_difference(self, e4):
         for a in e4[::3]:
             for b in e4[::5]:
-                got = filter_containment(a, b, Containment.NOT_CONTAINING)
+                got = assert_normal(filter_containment(a, b, Containment.NOT_CONTAINING))
                 assert got == pseudo_difference(a, b)
 
     def test_containing_via_double_difference(self, e4):
         for a in e4[::3]:
             for b in e4[::5]:
-                got = filter_containment(a, b, Containment.CONTAINING)
+                got = assert_normal(filter_containment(a, b, Containment.CONTAINING))
                 assert got == pseudo_difference(a, pseudo_difference(a, b))
 
     @given(antichains(), antichains())
@@ -178,7 +178,7 @@ class TestContainmentFilters:
             Containment.NOT_CONTAINED_IN: [i for i in avs if not any(j.contains(i) for j in bvs)],
         }
         for mode, expected in cases.items():
-            assert filter_containment(a, b, mode) == Antichain(expected)
+            assert assert_normal(filter_containment(a, b, mode)) == Antichain(expected)
 
 
 class TestStrictContainment:
@@ -187,7 +187,7 @@ class TestStrictContainment:
 
     def test_self_has_no_strict_witnesses(self, e4):
         for a in e4:
-            assert strict_containment(a, a, StrictContainment.NOT_STRICTLY_CONTAINING) == a
+            assert assert_normal(strict_containment(a, a, StrictContainment.NOT_STRICTLY_CONTAINING)) == a
 
     def test_strictly_containing(self):
         assert strict_containment(ac((0, 2)), ac((1, 1)), "strictly_containing") == ac((0, 2))
@@ -197,8 +197,9 @@ class TestStrictContainment:
         avs, bvs = a.intervals, b.intervals
         loose = [i for i in avs if not any(i.contains(j) and i != j for j in bvs)]
         strict = [i for i in avs if any(i.contains(j) and i != j for j in bvs)]
-        assert strict_containment(a, b, StrictContainment.NOT_STRICTLY_CONTAINING) == Antichain(loose)
-        assert strict_containment(a, b, StrictContainment.STRICTLY_CONTAINING) == Antichain(strict)
+        not_strict = strict_containment(a, b, StrictContainment.NOT_STRICTLY_CONTAINING)
+        assert assert_normal(not_strict) == Antichain(loose)
+        assert assert_normal(strict_containment(a, b, StrictContainment.STRICTLY_CONTAINING)) == Antichain(strict)
 
 
 class TestOrderedMeet:
@@ -206,7 +207,9 @@ class TestOrderedMeet:
         assert ordered_meet(ac((0, 0), (4, 4)), ac((2, 2))) == ac((0, 2))
 
     def test_top_identity(self, e4):
-        assert all(ordered_meet(a, TOP) == a and ordered_meet(TOP, a) == a for a in e4)
+        assert all(
+            assert_normal(ordered_meet(a, TOP)) == a and assert_normal(ordered_meet(TOP, a)) == a for a in e4
+        )
 
     def test_position_lists(self):
         assert ordered_meet(PEASE, COLD) == ac((3, 5), (6, 21), (34, 36))
@@ -219,7 +222,7 @@ class TestOrderedMeet:
             for j in b.intervals
             if i.right < j.left
         ]
-        assert ordered_meet(a, b) == brute_minimal(spans)
+        assert assert_normal(ordered_meet(a, b)) == brute_minimal(spans)
 
 
 class TestBlock:
@@ -233,7 +236,7 @@ class TestBlock:
         assert block(PEASE, PORRIDGE) == ac((0, 1), (3, 4), (6, 7), (31, 32), (34, 35))
 
     def test_top_identity(self, e4):
-        assert all(block(a, TOP) == a and block(TOP, a) == a for a in e4)
+        assert all(assert_normal(block(a, TOP)) == a and assert_normal(block(TOP, a)) == a for a in e4)
 
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
@@ -243,7 +246,7 @@ class TestBlock:
             for j in b.intervals
             if i.right + 1 == j.left
         ]
-        got = block(a, b)
+        got = assert_normal(block(a, b))
         assert set(got.intervals) == set(spans)
 
 

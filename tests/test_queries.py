@@ -81,6 +81,8 @@ class TestErrors:
             "a WITHIN",
             "a WITHIN b",
             "a WITHIN 0",
+            "a WITHIN ²",
+            "a WITHIN ٣",
             '""',
             "a ** b",
             "a OR OR b",
