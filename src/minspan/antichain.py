@@ -293,6 +293,13 @@ class CriticalSet:
             if prev.contains(cur) or cur.contains(prev):
                 raise ValueError(f"comparable elements: {prev}, {cur}")
 
+    @classmethod
+    def _trusted(cls, elements: tuple[ExtendedInterval, ...]) -> "CriticalSet":
+        """Wrap elements already in natural order, without checking them."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "elements", elements)
+        return self
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -310,7 +317,13 @@ class CriticalSet:
             if iv is None:
                 raise ValueError(f"{e} vanishes inside a universe of size {n}")
             out.append(ExtendedInterval.finite(iv.left, iv.right))
-        return CriticalSet(tuple(out))
+        # Clamping moves only extremes beyond 0 or n-1. Both extremes rise
+        # strictly along the set, so they keep doing so, which for intervals
+        # also means incomparable, unless a second element reaches 0 or a
+        # second-to-last one n-1.
+        if len(out) > 1 and (out[1].left == 0 or out[-2].right == n - 1):
+            raise ValueError(f"{self} collapses inside a universe of size {n}")
+        return CriticalSet._trusted(tuple(out))
 
     def __str__(self) -> str:
         return "{" + ", ".join(map(str, self.elements)) + "}"

@@ -12,6 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import TypeVar
 
 from . import queries as q
 from .antichain import Antichain
@@ -27,6 +28,8 @@ from .operators import (
     strict_containment,
 )
 
+_T = TypeVar("_T")
+
 __all__ = ["evaluate", "snippets", "score", "format_score", "SearchResult", "search"]
 
 
@@ -34,19 +37,79 @@ def evaluate(ast: q.Query, index: PositionalIndex, doc_id: str) -> Antichain:
     """The antichain of minimal witnesses of ``ast`` inside one document."""
     if doc_id not in index.docs:
         raise KeyError(f"unknown document id: {doc_id!r}")
-    return _eval(ast, index, doc_id)
+    return _eval(_postorder(ast), index.docs[doc_id][1])
 
 
-def _eval(ast: q.Query, index: PositionalIndex, doc_id: str) -> Antichain:
-    if isinstance(ast, q.Term):
-        return Antichain.of_positions(index.positions(doc_id, ast.text))
-    op = _OPERATORS.get(type(ast))
-    if op is None:
-        raise TypeError(f"not a query node: {ast!r}")
-    if isinstance(ast, (q.Or, q.And)):
-        return reduce(op, (_eval(child, index, doc_id) for child in ast.children))
-    args = [_eval(v, index, doc_id) if isinstance(v, q.Query) else v for v in vars(ast).values()]
-    return op(*args)
+# a query in post-order: each node with the number of its query operands,
+# which precede it; terms have none
+_Plan = list[tuple[q.Query, int]]
+
+
+def _postorder(ast: q.Query) -> _Plan:
+    """Walk ``ast`` with an explicit stack, so its depth costs no recursion."""
+    # node first and operands right to left, reversed, is post-order with
+    # operands left to right
+    plan: _Plan = []
+    stack = [ast]
+    while stack:
+        n = stack.pop()
+        operands = () if type(n) is q.Term else _operands(n)
+        plan.append((n, len(operands)))
+        stack.extend(operands)
+    plan.reverse()
+    return plan
+
+
+def _operands(n: q.Query) -> tuple[q.Query, ...]:
+    if type(n) not in _OPERATORS:
+        raise TypeError(f"not a query node: {n!r}")
+    if type(n) in (q.Or, q.And):
+        return n.children
+    return tuple(v for v in vars(n).values() if isinstance(v, q.Query))
+
+
+def _fold(
+    plan: _Plan, leaf: Callable[[q.Term], _T], node: Callable[[q.Query, list[_T]], _T]
+) -> _T:
+    """``leaf`` gives each term's value, ``node`` each inner node's from its operands' values."""
+    values: list[_T] = []
+    for n, arity in plan:
+        if arity:
+            cut = len(values) - arity
+            values[cut:] = (node(n, values[cut:]),)
+        else:
+            values.append(leaf(n))
+    return values[0]
+
+
+def _eval(plan: _Plan, postings: dict[str, tuple[int, ...]]) -> Antichain:
+    return _fold(plan, lambda t: Antichain.of_positions(postings.get(t.text, ())), _apply)
+
+
+def _apply(n: q.Query, values: list[Antichain]) -> Antichain:
+    op = _OPERATORS[type(n)]
+    if type(n) in (q.Or, q.And):
+        return reduce(op, values)
+    return op(*values, *tuple(vars(n).values())[len(values) :])
+
+
+def _required_terms(plan: _Plan) -> frozenset[str]:
+    """Terms that every document with a nonempty result contains.
+
+    AND, ``<`` and ``++`` are empty when either side is, so they require the
+    union of their sides. MINUS, WITHIN and the containment filters keep a
+    subset of their left side, so they require what it requires. OR requires
+    only what all of its branches require.
+    """
+    return _fold(plan, lambda t: frozenset((t.text,)), _requires)
+
+
+def _requires(n: q.Query, values: list[frozenset[str]]) -> frozenset[str]:
+    if type(n) is q.Or:
+        return frozenset.intersection(*values)
+    if type(n) in (q.And, q.OrderedMeet, q.Block):
+        return frozenset.union(*values)
+    return values[0]
 
 
 def _within(a: Antichain, k: int) -> Antichain:
@@ -121,13 +184,18 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
     """Evaluate a query on every document, rank by score, attach k snippets.
 
     Documents with an empty result are dropped; ties rank by document id.
+    Documents that lack a term every match needs are skipped before the
+    query is evaluated on them, which leaves the results unchanged.
     """
     if k < 0:
         raise ValueError(f"snippet count k must be nonnegative, got {k}")
-    ast = q.parse_query(query_text)
+    plan = _postorder(q.parse_query(query_text))
+    required = _required_terms(plan)
     results: list[SearchResult] = []
-    for doc_id in index.doc_ids():
-        value = _eval(ast, index, doc_id)
+    for doc_id, (_, postings) in index.docs.items():
+        if not required <= postings.keys():
+            continue
+        value = _eval(plan, postings)
         if value.is_bottom:
             continue
         results.append(SearchResult(doc_id, score(value), tuple(snippets(value, k))))

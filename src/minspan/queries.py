@@ -135,6 +135,10 @@ _CONTAINMENT_OPS: dict[str, Containment | StrictContainment] = {
 
 _KEYWORDS = {"AND", "OR", "MINUS", "WITHIN"}
 
+# the parser recurses through eight methods per level of parentheses, so
+# this keeps it well inside the interpreter's default recursion limit
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -169,6 +173,7 @@ class _Parser:
         self.text = q
         self.tokens = _lex(q)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -223,7 +228,10 @@ class _Parser:
             if token.kind != "word" or not (token.value.isascii() and token.value.isdigit()):
                 raise QuerySyntaxError("WITHIN needs an integer window", token.position)
             self.advance()
-            k = int(token.value)
+            try:
+                k = int(token.value)
+            except ValueError:  # more digits than int() converts
+                raise QuerySyntaxError("too many digits in WITHIN", token.position) from None
             if k < 1:
                 raise QuerySyntaxError("WITHIN needs a positive window", token.position)
             node = Within(node, k)
@@ -258,9 +266,15 @@ class _Parser:
     def parse_atom(self) -> Query:
         token = self.peek()
         if token.kind == "op" and token.value == "(":
+            if self.depth == MAX_NESTING:
+                raise QuerySyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", token.position
+                )
             self.advance()
+            self.depth += 1
             node = self.parse_or()
             self.expect_op(")")
+            self.depth -= 1
             return node
         if token.kind == "quoted":
             self.advance()

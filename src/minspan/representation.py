@@ -84,13 +84,13 @@ def critical_intervals(a: Antichain, universe: Universe) -> CriticalSet:
     """
     n = universe.size
     if a.is_top:
-        return CriticalSet(())
+        return CriticalSet._trusted(())
     if a.is_bottom:
-        return CriticalSet((FULL,))
+        return CriticalSet._trusted((FULL,))
     ivs = a.intervals
     if n is not None and len(ivs) == n:
         # n singletons: only the empty interval avoids them all
-        return CriticalSet((EMPTY,))
+        return CriticalSet._trusted((EMPTY,))
     out: list[ExtendedInterval] = []
     first, last = ivs[0], ivs[-1]
     if n is None or first.right >= 1:
@@ -100,7 +100,7 @@ def critical_intervals(a: Antichain, universe: Universe) -> CriticalSet:
             out.append(ExtendedInterval.finite(prev.left + 1, cur.right - 1))
     if n is None or last.left + 1 <= n - 1:
         out.append(ExtendedInterval.right_ray(last.left + 1))
-    return CriticalSet(tuple(out))
+    return CriticalSet._trusted(tuple(out))
 
 
 def meet_of_irreducibles(s: CriticalSet, universe: Universe) -> GeneralAntichain:

@@ -155,3 +155,10 @@ class TestCriticalSet:
                 ExtendedInterval.finite(6, 7),
             )
         )
+
+    def test_clamp_that_collapses_is_rejected(self):
+        # both sets are valid over Z, but clamping makes two elements comparable
+        with pytest.raises(ValueError):
+            CriticalSet((ExtendedInterval.left_ray(3), ExtendedInterval.finite(0, 5))).clamp(10)
+        with pytest.raises(ValueError):
+            CriticalSet((ExtendedInterval.finite(3, 9), ExtendedInterval.right_ray(5))).clamp(8)

@@ -8,10 +8,28 @@ from hypothesis import strategies as st
 
 from conftest import ac, assert_normal
 from minspan.antichain import BOTTOM, TOP, Antichain
-from minspan.engine import evaluate, format_score, score, search, snippets
+from minspan.engine import (
+    SearchResult,
+    _postorder,
+    _required_terms,
+    evaluate,
+    format_score,
+    score,
+    search,
+    snippets,
+)
 from minspan.indexing import build_index
 from minspan.intervals import Interval
-from minspan.operators import block, filter_containment, join, meet, ordered_meet, pseudo_difference
+from minspan.operators import (
+    Containment,
+    StrictContainment,
+    block,
+    filter_containment,
+    join,
+    meet,
+    ordered_meet,
+    pseudo_difference,
+)
 from minspan.queries import parse_query
 from minspan import queries as q
 
@@ -194,3 +212,99 @@ class TestSearch:
         index = build_index([("rhyme", rhyme_text)])
         with pytest.raises(ValueError, match="nonnegative"):
             search(index, "hot", k=-1)
+
+    def test_long_phrase_evaluates_without_recursion(self):
+        words = [f"w{i}" for i in range(5000)]
+        index = build_index([("long", " ".join(words)), ("short", "w0 w1")])
+        results = search(index, '"' + " ".join(words) + '"', k=1)
+        assert results == [SearchResult("long", Fraction(1, 5000), (Interval(0, 4999),))]
+
+
+class TestRequiredTerms:
+    @pytest.mark.parametrize(
+        "text, required",
+        [
+            ("a", {"a"}),
+            ("a OR b", set()),
+            ("(a AND b) OR (a < c)", {"a"}),
+            ("a AND b AND c", {"a", "b", "c"}),
+            ("a MINUS b", {"a"}),
+            ("(a AND b) WITHIN 3", {"a", "b"}),
+            ("a < b", {"a", "b"}),
+            ("a ++ b", {"a", "b"}),
+            ("a >> b", {"a"}),
+            ("a !>> b", {"a"}),
+            ("a << b", {"a"}),
+            ("a !<< b", {"a"}),
+            ("a >>> b", {"a"}),
+            ("a !>>> b", {"a"}),
+        ],
+    )
+    def test_rules(self, text, required):
+        assert _required_terms(_postorder(parse_query(text))) == required
+
+
+VOCAB = ["a", "b", "c", "d"]
+_OPS = {
+    Containment.CONTAINING: ">>",
+    Containment.NOT_CONTAINING: "!>>",
+    Containment.CONTAINED_IN: "<<",
+    Containment.NOT_CONTAINED_IN: "!<<",
+    StrictContainment.STRICTLY_CONTAINING: ">>>",
+    StrictContainment.NOT_STRICTLY_CONTAINING: "!>>>",
+}
+
+
+def show(ast: q.Query) -> str:
+    """Query text that parses back to ``ast``, every inner node in parentheses."""
+    match ast:
+        case q.Term(text):
+            return text
+        case q.Or(children) | q.And(children):
+            glue = " OR " if isinstance(ast, q.Or) else " AND "
+            return "(" + glue.join(map(show, children)) + ")"
+        case q.Within(child, k):
+            return f"({show(child)} WITHIN {k})"
+        case q.ContainmentOp(left, right, mode) | q.StrictContainmentOp(left, right, mode):
+            return f"({show(left)} {_OPS[mode]} {show(right)})"
+    glue = {q.Minus: " MINUS ", q.OrderedMeet: " < ", q.Block: " ++ "}[type(ast)]
+    return "(" + show(ast.left) + glue + show(ast.right) + ")"
+
+
+def query_asts() -> st.SearchStrategy[q.Query]:
+    def extend(sub):
+        some = st.lists(sub, min_size=2, max_size=3).map(tuple)
+        return st.one_of(
+            some.map(q.Or),
+            some.map(q.And),
+            st.builds(q.Minus, sub, sub),
+            st.builds(q.Within, sub, st.integers(1, 6)),
+            st.builds(q.OrderedMeet, sub, sub),
+            st.builds(q.Block, sub, sub),
+            st.builds(q.ContainmentOp, sub, sub, st.sampled_from(Containment)),
+            st.builds(q.StrictContainmentOp, sub, sub, st.sampled_from(StrictContainment)),
+        )
+
+    return st.recursive(st.sampled_from(VOCAB).map(q.Term), extend, max_leaves=6)
+
+
+# each document draws its words from a random subset of the vocabulary, so
+# most queries name a term that some document lacks
+documents = st.sets(st.sampled_from(VOCAB)).flatmap(
+    lambda words: st.lists(st.sampled_from(sorted(words)), max_size=16) if words else st.just([])
+)
+
+
+class TestPruning:
+    @given(ast=query_asts(), docs=st.lists(documents, min_size=1, max_size=6), k=st.integers(0, 2))
+    def test_search_equals_full_scan(self, ast, docs, k):
+        text = show(ast)
+        assert parse_query(text) == ast
+        index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(docs))
+        expected = []
+        for doc_id in index.doc_ids():
+            value = evaluate(ast, index, doc_id)
+            if not value.is_bottom:
+                expected.append(SearchResult(doc_id, score(value), tuple(snippets(value, k))))
+        expected.sort(key=lambda r: (-r.score, r.doc_id))
+        assert search(index, text, k) == expected

@@ -4,6 +4,7 @@ import pytest
 
 from minspan.operators import Containment, StrictContainment
 from minspan.queries import (
+    MAX_NESTING,
     And,
     Block,
     ContainmentOp,
@@ -92,6 +93,18 @@ class TestErrors:
         with pytest.raises(QuerySyntaxError) as err:
             parse_query(bad)
         assert err.value.position >= 0
+
+    def test_nesting_past_the_cap_is_a_syntax_error(self):
+        assert parse_query("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == Term("a")
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query("(" * 3000 + "a" + ")" * 3000)
+        assert err.value.position == MAX_NESTING
+
+    def test_overlong_window_is_a_syntax_error(self):
+        assert parse_query("a WITHIN " + "9" * 4000) == Within(Term("a"), int("9" * 4000))
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query("a WITHIN " + "9" * 5000)
+        assert err.value.position == len("a WITHIN ")
 
     def test_node_invariants(self):
         with pytest.raises(ValueError):
