@@ -19,6 +19,8 @@ from .antichain import Antichain
 from .indexing import PositionalIndex
 from .intervals import Interval
 from .operators import (
+    Containment,
+    StrictContainment,
     block,
     filter_containment,
     join,
@@ -96,18 +98,26 @@ def _apply(n: q.Query, values: list[Antichain]) -> Antichain:
 def _required_terms(plan: _Plan) -> frozenset[str]:
     """Terms that every document with a nonempty result contains.
 
-    AND, ``<`` and ``++`` are empty when either side is, so they require the
-    union of their sides. MINUS, WITHIN and the containment filters keep a
-    subset of their left side, so they require what it requires. OR requires
-    only what all of its branches require.
+    AND, ``<``, ``++``, ``>>``, ``<<`` and ``>>>`` are empty when either side
+    is, so they require the union of their sides. MINUS, WITHIN, ``!>>``,
+    ``!<<`` and ``!>>>`` keep a subset of their left side, so they require
+    what it requires. OR requires only what all of its branches require.
     """
     return _fold(plan, lambda t: frozenset((t.text,)), _requires)
+
+
+# the containment modes that keep nothing when their right side is empty
+_EMPTY_WITH_RIGHT = (
+    Containment.CONTAINING,
+    Containment.CONTAINED_IN,
+    StrictContainment.STRICTLY_CONTAINING,
+)
 
 
 def _requires(n: q.Query, values: list[frozenset[str]]) -> frozenset[str]:
     if type(n) is q.Or:
         return frozenset.intersection(*values)
-    if type(n) in (q.And, q.OrderedMeet, q.Block):
+    if type(n) in (q.And, q.OrderedMeet, q.Block) or getattr(n, "mode", None) in _EMPTY_WITH_RIGHT:
         return frozenset.union(*values)
     return values[0]
 

@@ -71,12 +71,6 @@ class Interval(namedtuple("_IntervalBase", ("left", "right"))):
         """Set containment: other is a subset of self."""
         return self[0] <= other[0] and other[1] <= self[1]
 
-    def contains_point(self, x: int) -> bool:
-        return self[0] <= x <= self[1]
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self[0] <= other[1] and other[0] <= self[1]
-
     def __str__(self) -> str:
         return f"[{self[0]}..{self[1]}]"
 
@@ -126,10 +120,6 @@ class ExtendedInterval:
         return cls(None, None, empty=True)
 
     @property
-    def is_finite(self) -> bool:
-        return not self.empty and self.left is not None and self.right is not None
-
-    @property
     def is_full(self) -> bool:
         return not self.empty and self.left is None and self.right is None
 
@@ -142,15 +132,6 @@ class ExtendedInterval:
         if self.left is not None and (other.left is None or other.left < self.left):
             return False
         if self.right is not None and (other.right is None or other.right > self.right):
-            return False
-        return True
-
-    def contains_interval(self, other: Interval) -> bool:
-        if self.empty:
-            return False
-        if self.left is not None and other.left < self.left:
-            return False
-        if self.right is not None and other.right > self.right:
             return False
         return True
 

@@ -5,12 +5,18 @@ before), the containment operators ``>>`` / ``!>>`` / ``<<`` / ``!<<`` and
 their strict forms ``>>>`` / ``!>>>``, ``WITHIN k``, ``AND``, ``MINUS``,
 ``OR``. Everything is left-associative; parentheses group; a quoted phrase
 is sugar for a chain of ``++``.
+
+One table, ``_INFIX``, holds each operator's token, strength and node, and
+one loop parses by precedence climbing. Each level of parentheses costs the
+parser two stack frames, three where it opens an operator's right operand.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial, reduce
 
 from .indexing import tokenize
 from .operators import Containment, StrictContainment
@@ -115,28 +121,37 @@ class QuerySyntaxError(ValueError):
         self.position = position
 
 
+# Each infix operator's binding strength, tightest highest, and the node it
+# builds from its left operand and its right one, or the window for WITHIN
+_INFIX: dict[str, tuple[int, Callable[..., Query]]] = {
+    "OR": (1, Or),
+    "MINUS": (2, Minus),
+    "AND": (3, And),
+    "WITHIN": (4, Within),
+    ">>": (5, partial(ContainmentOp, mode=Containment.CONTAINING)),
+    "!>>": (5, partial(ContainmentOp, mode=Containment.NOT_CONTAINING)),
+    "<<": (5, partial(ContainmentOp, mode=Containment.CONTAINED_IN)),
+    "!<<": (5, partial(ContainmentOp, mode=Containment.NOT_CONTAINED_IN)),
+    ">>>": (5, partial(StrictContainmentOp, mode=StrictContainment.STRICTLY_CONTAINING)),
+    "!>>>": (5, partial(StrictContainmentOp, mode=StrictContainment.NOT_STRICTLY_CONTAINING)),
+    "<": (6, OrderedMeet),
+    "++": (7, Block),
+}
+_TIGHTEST = max(strength for strength, _ in _INFIX.values())
+
+# longest symbol first, so that "<<" does not lex as two "<"
+_SYMBOLS = sorted([op for op in _INFIX if not op.isalpha()] + ["(", ")"], key=len, reverse=True)
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    rf"""\s*(?:
         (?P<quoted>"[^"]*")
-      | (?P<op>\+\+|!>>>|>>>|!>>|>>|!<<|<<|<|\(|\))
-      | (?P<word>[^\W_][\w]*|\d+)
+      | (?P<op>{"|".join(map(re.escape, _SYMBOLS))})
+      | (?P<word>[^\W_]\w*)
     )""",
     re.VERBOSE | re.UNICODE,
 )
 
-_CONTAINMENT_OPS: dict[str, Containment | StrictContainment] = {
-    ">>": Containment.CONTAINING,
-    "!>>": Containment.NOT_CONTAINING,
-    "<<": Containment.CONTAINED_IN,
-    "!<<": Containment.NOT_CONTAINED_IN,
-    ">>>": StrictContainment.STRICTLY_CONTAINING,
-    "!>>>": StrictContainment.NOT_STRICTLY_CONTAINING,
-}
-
-_KEYWORDS = {"AND", "OR", "MINUS", "WITHIN"}
-
-# the parser recurses through eight methods per level of parentheses, so
-# this keeps it well inside the interpreter's default recursion limit
+# each level of parentheses costs the parser two or three stack frames, so a
+# query at the cap needs about 310 of the interpreter's default limit of 1000
 MAX_NESTING = 100
 
 
@@ -157,12 +172,9 @@ def _lex(q: str) -> list[_Token]:
             if not stripped:
                 break
             raise QuerySyntaxError(f"unexpected character {stripped[0]!r}", len(q) - len(stripped))
-        if m.lastgroup == "quoted":
-            tokens.append(_Token("quoted", m.group("quoted")[1:-1], m.start("quoted")))
-        elif m.lastgroup == "op":
-            tokens.append(_Token("op", m.group("op"), m.start("op")))
-        else:
-            tokens.append(_Token("word", m.group("word"), m.start("word")))
+        kind = m.lastgroup
+        value = m.group(kind)
+        tokens.append(_Token(kind, value[1:-1] if kind == "quoted" else value, m.start(kind)))
         pos = m.end()
     tokens.append(_Token("end", "", len(q)))
     return tokens
@@ -170,134 +182,89 @@ def _lex(q: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, q: str):
-        self.text = q
         self.tokens = _lex(q)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect_op(self, value: str) -> None:
-        token = self.peek()
-        if token.kind != "op" or token.value != value:
-            raise QuerySyntaxError(f"expected {value!r}", token.position)
-        self.advance()
-
-    # precedence levels, loosest first ------------------------------------
-
     def parse(self) -> Query:
-        node = self.parse_or()
-        tail = self.peek()
+        node = self.parse_expr(0)
+        tail = self.tokens[self.pos]
         if tail.kind != "end":
             raise QuerySyntaxError(f"unexpected trailing {tail.value!r}", tail.position)
         return node
 
-    def parse_or(self) -> Query:
-        children = [self.parse_minus()]
-        while self._at_keyword("OR"):
-            self.advance()
-            children.append(self.parse_minus())
-        return children[0] if len(children) == 1 else Or(tuple(children))
+    def parse_expr(self, floor: int) -> Query:
+        """An operand and the operators after it of strength ``floor`` or more.
 
-    def parse_minus(self) -> Query:
-        node = self.parse_and()
-        while self._at_keyword("MINUS"):
-            self.advance()
-            node = Minus(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Query:
-        children = [self.parse_within()]
-        while self._at_keyword("AND"):
-            self.advance()
-            children.append(self.parse_within())
-        return children[0] if len(children) == 1 else And(tuple(children))
-
-    def parse_within(self) -> Query:
-        node = self.parse_containment()
-        while self._at_keyword("WITHIN"):
-            self.advance()
-            token = self.peek()
-            # str.isdigit alone would admit superscripts and non-ASCII digits
-            if token.kind != "word" or not (token.value.isascii() and token.value.isdigit()):
-                raise QuerySyntaxError("WITHIN needs an integer window", token.position)
-            self.advance()
-            try:
-                k = int(token.value)
-            except ValueError:  # more digits than int() converts
-                raise QuerySyntaxError("too many digits in WITHIN", token.position) from None
-            if k < 1:
-                raise QuerySyntaxError("WITHIN needs a positive window", token.position)
-            node = Within(node, k)
-        return node
-
-    def parse_containment(self) -> Query:
-        node = self.parse_ordered()
-        while self.peek().kind == "op" and self.peek().value in _CONTAINMENT_OPS:
-            op = self.advance().value
-            right = self.parse_ordered()
-            mode = _CONTAINMENT_OPS[op]
-            if isinstance(mode, StrictContainment):
-                node = StrictContainmentOp(node, right, mode)
-            else:
-                node = ContainmentOp(node, right, mode)
-        return node
-
-    def parse_ordered(self) -> Query:
-        node = self.parse_block()
-        while self.peek().kind == "op" and self.peek().value == "<":
-            self.advance()
-            node = OrderedMeet(node, self.parse_block())
-        return node
-
-    def parse_block(self) -> Query:
+        An operator's right operand holds only stronger operators, so equal
+        strengths associate to the left. After an operator of strength s
+        only operators no stronger than s may follow: that is implied for
+        binary operators, and keeps a stronger one from taking ``WITHIN k``
+        as its left operand. A run of OR, or of AND, makes one node.
+        """
         node = self.parse_atom()
-        while self.peek().kind == "op" and self.peek().value == "++":
-            self.advance()
-            node = Block(node, self.parse_atom())
+        ceiling = _TIGHTEST
+        while rule := self._infix(floor, ceiling):
+            ceiling, build = rule
+            if build is Or or build is And:
+                operands = [node, self.parse_expr(ceiling + 1)]
+                while self._infix(ceiling, ceiling):
+                    operands.append(self.parse_expr(ceiling + 1))
+                node = build(tuple(operands))
+            else:
+                right = self._window() if build is Within else self.parse_expr(ceiling + 1)
+                node = build(node, right)
         return node
+
+    def _infix(self, floor: int, ceiling: int) -> tuple[int, Callable[..., Query]] | None:
+        """Consume the next token if it is an operator of strength floor..ceiling; its rule."""
+        token = self.tokens[self.pos]
+        rule = None if token.kind == "quoted" else _INFIX.get(token.value)
+        if rule is None or not floor <= rule[0] <= ceiling:
+            return None
+        self.pos += 1
+        return rule
+
+    def _window(self) -> int:
+        token = self.tokens[self.pos]
+        # str.isdigit alone would admit superscripts and non-ASCII digits
+        if token.kind != "word" or not (token.value.isascii() and token.value.isdigit()):
+            raise QuerySyntaxError("WITHIN needs an integer window", token.position)
+        self.pos += 1
+        try:
+            k = int(token.value)
+        except ValueError:  # more digits than int() converts
+            raise QuerySyntaxError("too many digits in WITHIN", token.position) from None
+        if k < 1:
+            raise QuerySyntaxError("WITHIN needs a positive window", token.position)
+        return k
 
     def parse_atom(self) -> Query:
-        token = self.peek()
+        token = self.tokens[self.pos]
+        self.pos += 1
         if token.kind == "op" and token.value == "(":
             if self.depth == MAX_NESTING:
                 raise QuerySyntaxError(
                     f"parentheses nested deeper than {MAX_NESTING} levels", token.position
                 )
-            self.advance()
             self.depth += 1
-            node = self.parse_or()
-            self.expect_op(")")
+            node = self.parse_expr(0)
+            close = self.tokens[self.pos]
+            if close.kind != "op" or close.value != ")":
+                raise QuerySyntaxError("expected ')'", close.position)
+            self.pos += 1
             self.depth -= 1
             return node
         if token.kind == "quoted":
-            self.advance()
-            return self._phrase(token)
+            words = [term for term, _ in tokenize(token.value)]
+            if not words:
+                raise QuerySyntaxError("empty phrase", token.position)
+            return reduce(Block, map(Term, words))
         if token.kind == "word":
-            if token.value in _KEYWORDS:
+            if token.value in _INFIX:
                 raise QuerySyntaxError(f"unexpected keyword {token.value}", token.position)
-            self.advance()
             return Term(token.value.lower())
         raise QuerySyntaxError("expected a term, phrase or parenthesized query", token.position)
-
-    def _at_keyword(self, kw: str) -> bool:
-        token = self.peek()
-        return token.kind == "word" and token.value == kw
-
-    def _phrase(self, token: _Token) -> Query:
-        words = [term for term, _ in tokenize(token.value)]
-        if not words:
-            raise QuerySyntaxError("empty phrase", token.position)
-        node: Query = Term(words[0])
-        for word in words[1:]:
-            node = Block(node, Term(word))
-        return node
 
 
 def parse_query(q: str) -> Query:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from minspan.antichain import TOP, Antichain, GeneralAntichain
 from minspan.enumeration import enumerate_lattice
 from minspan.intervals import UNBOUNDED, Interval
-from minspan.operators import join, leq, meet, pseudo_difference
+from minspan import queries as q
+from minspan.operators import Containment, StrictContainment, join, leq, meet, pseudo_difference
 from minspan.representation import relative_pseudo_complement
 
 settings.register_profile(
@@ -131,6 +132,59 @@ def antichains(allow_top: bool = False, **kwargs):
     if allow_top:
         return st.one_of(base, st.just(TOP))
     return base
+
+
+VOCAB = ["a", "b", "c", "d"]
+_MODES = {
+    Containment.CONTAINING: ">>",
+    Containment.NOT_CONTAINING: "!>>",
+    Containment.CONTAINED_IN: "<<",
+    Containment.NOT_CONTAINED_IN: "!<<",
+    StrictContainment.STRICTLY_CONTAINING: ">>>",
+    StrictContainment.NOT_STRICTLY_CONTAINING: "!>>>",
+}
+_SYMBOLS = {q.Or: "OR", q.And: "AND", q.Minus: "MINUS", q.OrderedMeet: "<", q.Block: "++"}
+
+
+def operator(ast: q.Query) -> str:
+    """The query text of the operator of an inner node other than WITHIN."""
+    if isinstance(ast, (q.ContainmentOp, q.StrictContainmentOp)):
+        return _MODES[ast.mode]
+    return _SYMBOLS[type(ast)]
+
+
+def operands(ast: q.Query) -> tuple[q.Query, ...]:
+    """The query operands of an inner node other than WITHIN, left to right."""
+    return ast.children if isinstance(ast, (q.Or, q.And)) else (ast.left, ast.right)
+
+
+def show(ast: q.Query) -> str:
+    """Query text that parses back to ``ast``, every inner node in parentheses."""
+    match ast:
+        case q.Term(text):
+            return text
+        case q.Within(child, k):
+            return f"({show(child)} WITHIN {k})"
+    return "(" + f" {operator(ast)} ".join(map(show, operands(ast))) + ")"
+
+
+def query_asts() -> st.SearchStrategy[q.Query]:
+    """Random query ASTs of every node type over the terms of VOCAB."""
+
+    def extend(sub):
+        some = st.lists(sub, min_size=2, max_size=3).map(tuple)
+        return st.one_of(
+            some.map(q.Or),
+            some.map(q.And),
+            st.builds(q.Minus, sub, sub),
+            st.builds(q.Within, sub, st.integers(1, 6)),
+            st.builds(q.OrderedMeet, sub, sub),
+            st.builds(q.Block, sub, sub),
+            st.builds(q.ContainmentOp, sub, sub, st.sampled_from(Containment)),
+            st.builds(q.StrictContainmentOp, sub, sub, st.sampled_from(StrictContainment)),
+        )
+
+    return st.recursive(st.sampled_from(VOCAB).map(q.Term), extend, max_leaves=6)
 
 
 @pytest.fixture(scope="session")

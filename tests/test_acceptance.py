@@ -195,10 +195,10 @@ def test_width_sequence():
     started = time.perf_counter()
     true_widths = {0: 1, 1: 1, 2: 2, 3: 3, 4: 7, 5: 17, 6: 44, 7: 118, 8: 338}
     for n, expected in true_widths.items():
-        assert width(n, force=n > 7) == expected, n
-    assert [width(n, force=n > 7) for n in range(1, 9)] == [1, 2, 3, 7, 17, 44, 118, 338]
+        assert width(n) == expected, n
+    assert [width(n) for n in range(1, 9)] == [1, 2, 3, 7, 17, 44, 118, 338]
     for n in range(1, 9):
-        assert width(n, force=n > 7) == level_profile(n).max_level, n
+        assert width(n) == level_profile(n).max_level, n
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
     print(

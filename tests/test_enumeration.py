@@ -108,8 +108,3 @@ class TestWidth:
     def test_resource_guard(self):
         with pytest.raises(ValueError):
             width(WIDTH_BOUND + 1)
-
-    def test_force_overrides_guard_signature(self):
-        # the guard is advisory; force is exercised at full scale in the
-        # acceptance suite, here just on a trivial size
-        assert width(2, force=True) == 2

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import sys
 
+import pytest
+from hypothesis import given
+
+from conftest import operands, operator, query_asts
+from minspan import queries as q
 from minspan.operators import Containment, StrictContainment
 from minspan.queries import (
     MAX_NESTING,
@@ -70,35 +75,60 @@ class TestStructure:
         assert got == OrderedMeet(OrderedMeet(Term("a"), Term("b")), Term("c"))
 
 
+# each rejected query with its message and position; the first four have
+# the shapes of the benchmark's malformed-query mutations
+SYNTAX_ERRORS = {
+    "(a AND b": ("expected ')'", 8),
+    "a AND b AND": ("expected a term, phrase or parenthesized query", 11),
+    'a AND ""': ("empty phrase", 6),
+    "(a) WITHIN": ("WITHIN needs an integer window", 10),
+    "a WITHIN 3 ++ b": ("unexpected trailing '++'", 11),
+    "(a WITHIN 3 >> b)": ("expected ')'", 12),
+    "a b": ("unexpected trailing 'b'", 2),
+    "(a b)": ("expected ')'", 3),
+    'a "b"': ("unexpected trailing 'b'", 2),
+    "": ("expected a term, phrase or parenthesized query", 0),
+    "a AND": ("expected a term, phrase or parenthesized query", 5),
+    "AND a": ("unexpected keyword AND", 0),
+    "(a OR b": ("expected ')'", 7),
+    "a )": ("unexpected trailing ')'", 2),
+    "a WITHIN": ("WITHIN needs an integer window", 8),
+    "a WITHIN b": ("WITHIN needs an integer window", 9),
+    "a WITHIN 0": ("WITHIN needs a positive window", 9),
+    "a WITHIN ²": ("WITHIN needs an integer window", 9),
+    "a WITHIN ٣": ("WITHIN needs an integer window", 9),
+    '""': ("empty phrase", 0),
+    "a ** b": ("unexpected character '*'", 2),
+    "a OR OR b": ("unexpected keyword OR", 5),
+}
+
+
 class TestErrors:
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            "a AND",
-            "AND a",
-            "(a OR b",
-            "a )",
-            "a WITHIN",
-            "a WITHIN b",
-            "a WITHIN 0",
-            "a WITHIN ²",
-            "a WITHIN ٣",
-            '""',
-            "a ** b",
-            "a OR OR b",
-        ],
-    )
+    @pytest.mark.parametrize("bad", SYNTAX_ERRORS)
     def test_syntax_errors_carry_position(self, bad):
+        message, position = SYNTAX_ERRORS[bad]
         with pytest.raises(QuerySyntaxError) as err:
             parse_query(bad)
-        assert err.value.position >= 0
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
     def test_nesting_past_the_cap_is_a_syntax_error(self):
         assert parse_query("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == Term("a")
         with pytest.raises(QuerySyntaxError) as err:
             parse_query("(" * 3000 + "a" + ")" * 3000)
         assert err.value.position == MAX_NESTING
+
+    def test_nesting_cap_parses_deep_in_the_stack(self):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 400)
+        try:
+            got = parse_query("(" * MAX_NESTING + "a" + ")" * MAX_NESTING)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == Term("a")
 
     def test_overlong_window_is_a_syntax_error(self):
         assert parse_query("a WITHIN " + "9" * 4000) == Within(Term("a"), int("9" * 4000))
@@ -113,3 +143,45 @@ class TestErrors:
             And((Term("a"),))
         with pytest.raises(ValueError):
             Within(Term("a"), 0)
+
+
+# binding strength of each node type, tightest highest; a term binds tightest
+STRENGTH = {
+    q.Or: 1,
+    q.Minus: 2,
+    q.And: 3,
+    q.Within: 4,
+    q.ContainmentOp: 5,
+    q.StrictContainmentOp: 5,
+    q.OrderedMeet: 6,
+    q.Block: 7,
+    q.Term: 8,
+}
+
+
+def show_minimal(ast: q.Query) -> str:
+    """Query text for ``ast`` with only the parentheses that precedence needs.
+
+    A child needs them when it binds more loosely than its parent, and at
+    equal strength when it is a right operand or a child of an OR or AND,
+    which would otherwise join its parent's chain.
+    """
+    if type(ast) is q.Term:
+        return ast.text
+    strength = STRENGTH[type(ast)]
+
+    def operand(child: q.Query, right: bool) -> str:
+        text = show_minimal(child)
+        below = STRENGTH[type(child)]
+        chained = type(ast) in (q.Or, q.And)
+        return f"({text})" if below < strength or below == strength and (right or chained) else text
+
+    if type(ast) is q.Within:
+        return f"{operand(ast.child, False)} WITHIN {ast.k}"
+    return f" {operator(ast)} ".join(operand(c, i > 0) for i, c in enumerate(operands(ast)))
+
+
+class TestRoundTrip:
+    @given(ast=query_asts())
+    def test_minimal_parentheses_parse_back(self, ast):
+        assert parse_query(show_minimal(ast)) == ast
