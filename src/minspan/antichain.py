@@ -10,7 +10,9 @@ so proper interval lists never hold a degenerate member.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .intervals import EMPTY, FULL, ExtendedInterval, Interval
@@ -81,6 +83,15 @@ class Antichain:
         self._intervals = tuple(intervals)
         self._top = False
         return self
+
+    @classmethod
+    def _singletons(cls, positions: Sequence[int]) -> "Antichain":
+        """Wrap the singletons at strictly increasing positions, without checking them.
+
+        Both extremes of each interval are the sequence's own int object, so
+        pass a list or tuple: a range would make a second int per position.
+        """
+        return cls._trusted(map(tuple.__new__, repeat(Interval), zip(positions, positions)))
 
     @classmethod
     def normalize(cls, intervals: Iterable[IntervalLike]) -> "Antichain":

@@ -8,11 +8,13 @@ evaluator is a fold over the AST.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable
+from collections import Counter
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import TypeVar
+from math import lcm
+from operator import attrgetter
 
 from . import queries as q
 from .antichain import Antichain
@@ -30,8 +32,6 @@ from .operators import (
     strict_containment,
 )
 
-_T = TypeVar("_T")
-
 __all__ = ["evaluate", "snippets", "score", "format_score", "SearchResult", "search"]
 
 
@@ -39,53 +39,12 @@ def evaluate(ast: q.Query, index: PositionalIndex, doc_id: str) -> Antichain:
     """The antichain of minimal witnesses of ``ast`` inside one document."""
     if doc_id not in index.docs:
         raise KeyError(f"unknown document id: {doc_id!r}")
-    return _eval(_postorder(ast), index.docs[doc_id][1])
+    return _eval(q.postorder(ast), index.docs[doc_id][1])
 
 
-# a query in post-order: each node with the number of its query operands,
-# which precede it; terms have none
-_Plan = list[tuple[q.Query, int]]
-
-
-def _postorder(ast: q.Query) -> _Plan:
-    """Walk ``ast`` with an explicit stack, so its depth costs no recursion."""
-    # node first and operands right to left, reversed, is post-order with
-    # operands left to right
-    plan: _Plan = []
-    stack = [ast]
-    while stack:
-        n = stack.pop()
-        operands = () if type(n) is q.Term else _operands(n)
-        plan.append((n, len(operands)))
-        stack.extend(operands)
-    plan.reverse()
-    return plan
-
-
-def _operands(n: q.Query) -> tuple[q.Query, ...]:
-    if type(n) not in _OPERATORS:
-        raise TypeError(f"not a query node: {n!r}")
-    if type(n) in (q.Or, q.And):
-        return n.children
-    return tuple(v for v in vars(n).values() if isinstance(v, q.Query))
-
-
-def _fold(
-    plan: _Plan, leaf: Callable[[q.Term], _T], node: Callable[[q.Query, list[_T]], _T]
-) -> _T:
-    """``leaf`` gives each term's value, ``node`` each inner node's from its operands' values."""
-    values: list[_T] = []
-    for n, arity in plan:
-        if arity:
-            cut = len(values) - arity
-            values[cut:] = (node(n, values[cut:]),)
-        else:
-            values.append(leaf(n))
-    return values[0]
-
-
-def _eval(plan: _Plan, postings: dict[str, tuple[int, ...]]) -> Antichain:
-    return _fold(plan, lambda t: Antichain.of_positions(postings.get(t.text, ())), _apply)
+def _eval(plan: q.Plan, postings: Mapping[str, tuple[int, ...]]) -> Antichain:
+    # the index checked its postings when they entered it and keeps them read-only
+    return q.fold(plan, lambda t: Antichain._singletons(postings.get(t.text, ())), _apply)
 
 
 def _apply(n: q.Query, values: list[Antichain]) -> Antichain:
@@ -95,7 +54,7 @@ def _apply(n: q.Query, values: list[Antichain]) -> Antichain:
     return op(*values, *tuple(vars(n).values())[len(values) :])
 
 
-def _required_terms(plan: _Plan) -> frozenset[str]:
+def _required_terms(plan: q.Plan) -> frozenset[str]:
     """Terms that every document with a nonempty result contains.
 
     AND, ``<``, ``++``, ``>>``, ``<<`` and ``>>>`` are empty when either side
@@ -103,7 +62,7 @@ def _required_terms(plan: _Plan) -> frozenset[str]:
     ``!<<`` and ``!>>>`` keep a subset of their left side, so they require
     what it requires. OR requires only what all of its branches require.
     """
-    return _fold(plan, lambda t: frozenset((t.text,)), _requires)
+    return q.fold(plan, lambda t: frozenset((t.text,)), _requires)
 
 
 # the containment modes that keep nothing when their right side is empty
@@ -125,7 +84,8 @@ def _requires(n: q.Query, values: list[frozenset[str]]) -> frozenset[str]:
 def _within(a: Antichain, k: int) -> Antichain:
     if a.is_top:
         return a
-    return Antichain._trusted(iv for iv in a.intervals if iv.length <= k)
+    # a width below k spans at most k positions
+    return Antichain._trusted(iv for iv in a.intervals if iv[1] - iv[0] < k)
 
 
 # OR and AND fold their children; the other nodes apply their operator to
@@ -152,7 +112,8 @@ def snippets(a: Antichain, k: int) -> list[Interval]:
         raise ValueError("the top element has no snippet intervals")
     accepted: list[Interval] = []
     lefts: list[int] = []
-    for iv in sorted(a.intervals, key=lambda iv: (iv.length, iv.left)):
+    # the intervals are in left order and the sort is stable, so ties stay left first
+    for iv in sorted(a.intervals, key=_width):
         if len(accepted) >= k:
             break
         at = bisect_left(lefts, iv.left)
@@ -165,11 +126,21 @@ def snippets(a: Antichain, k: int) -> list[Interval]:
     return accepted
 
 
+def _width(iv: Interval) -> int:
+    return iv[1] - iv[0]
+
+
 def score(a: Antichain) -> Fraction:
-    """Sum of inverse witness lengths, as an exact rational."""
+    """Sum of inverse witness lengths, as an exact rational.
+
+    Witnesses are counted by length and the counts summed over the least
+    common multiple of the lengths in integers, so one Fraction is made.
+    """
     if a.is_top:
         raise ValueError("the top element is not scoreable")
-    return sum((Fraction(1, iv.length) for iv in a.intervals), Fraction(0))
+    counts = Counter(map(_width, a.intervals))
+    common = lcm(*(w + 1 for w in counts))
+    return Fraction(sum(c * (common // (w + 1)) for w, c in counts.items()), common)
 
 
 def format_score(value: Fraction, places: int = 4) -> str:
@@ -199,7 +170,7 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
     """
     if k < 0:
         raise ValueError(f"snippet count k must be nonnegative, got {k}")
-    plan = _postorder(q.parse_query(query_text))
+    plan = q.postorder(q.parse_query(query_text))
     required = _required_terms(plan)
     results: list[SearchResult] = []
     for doc_id, (_, postings) in index.docs.items():
@@ -209,5 +180,7 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
         if value.is_bottom:
             continue
         results.append(SearchResult(doc_id, score(value), tuple(snippets(value, k))))
-    results.sort(key=lambda r: (-r.score, r.doc_id))
+    # two stable sorts: by score, highest first, and ties by document id
+    results.sort(key=attrgetter("doc_id"))
+    results.sort(key=attrgetter("score"), reverse=True)
     return results

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Mapping
 from operator import lt
-from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from types import MappingProxyType
+from typing import TextIO
 
 __all__ = ["tokenize", "PositionalIndex", "build_index"]
 
@@ -18,35 +19,55 @@ def tokenize(text: str) -> list[tuple[str, int]]:
     return [(m.group(0).lower(), i) for i, m in enumerate(_TOKEN.finditer(text))]
 
 
-@dataclass
 class PositionalIndex:
-    """Per-document token counts and term -> strictly increasing position lists."""
+    """Per-document token counts and term -> strictly increasing position lists.
 
-    docs: dict[str, tuple[int, dict[str, tuple[int, ...]]]] = field(default_factory=dict)
+    ``add_document`` and ``load_jsonl`` check what they store, and nothing
+    else can change it: ``docs`` is a read-only view from document id to
+    ``(length, postings)``, whose postings are read-only too. So search
+    trusts the postings and does not check them again.
+    """
+
+    __slots__ = ("_docs",)
+
+    def __init__(self) -> None:
+        self._docs: dict[str, tuple[int, Mapping[str, tuple[int, ...]]]] = {}
+
+    @property
+    def docs(self) -> Mapping[str, tuple[int, Mapping[str, tuple[int, ...]]]]:
+        return MappingProxyType(self._docs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PositionalIndex):
+            return NotImplemented
+        return self._docs == other._docs
+
+    def _store(self, doc_id: str, length: int, postings: dict[str, tuple[int, ...]]) -> None:
+        if doc_id in self._docs:
+            raise ValueError(f"duplicate document id: {doc_id!r}")
+        self._docs[doc_id] = (length, MappingProxyType(postings))
 
     def add_document(self, doc_id: str, text: str) -> None:
-        if doc_id in self.docs:
-            raise ValueError(f"duplicate document id: {doc_id!r}")
         postings: dict[str, list[int]] = {}
         length = 0
         for term, pos in tokenize(text):
             postings.setdefault(term, []).append(pos)
             length = pos + 1
-        self.docs[doc_id] = (length, {t: tuple(ps) for t, ps in postings.items()})
+        self._store(doc_id, length, {t: tuple(ps) for t, ps in postings.items()})
 
     def doc_ids(self) -> list[str]:
-        return list(self.docs)
+        return list(self._docs)
 
     def length(self, doc_id: str) -> int:
-        return self.docs[doc_id][0]
+        return self._docs[doc_id][0]
 
     def positions(self, doc_id: str, term: str) -> tuple[int, ...]:
         """Positions of term in the document; empty when absent."""
-        return self.docs[doc_id][1].get(term, ())
+        return self._docs[doc_id][1].get(term, ())
 
     # one JSON object per line: {"doc":, "length":, "postings": {term: [..]}}
     def dump_jsonl(self, fh: TextIO) -> None:
-        for doc_id, (length, postings) in self.docs.items():
+        for doc_id, (length, postings) in self._docs.items():
             record = {
                 "doc": doc_id,
                 "length": length,
@@ -62,12 +83,9 @@ class PositionalIndex:
             if not line.strip():
                 continue
             try:
-                doc_id, length, postings = _parse_record(line)
-                if doc_id in index.docs:
-                    raise ValueError(f"duplicate document id: {doc_id!r}")
+                index._store(*_parse_record(line))
             except ValueError as exc:
                 raise ValueError(f"bad index record on line {line_no}: {exc}") from exc
-            index.docs[doc_id] = (length, postings)
         return index
 
 

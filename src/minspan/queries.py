@@ -17,6 +17,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial, reduce
+from typing import TypeVar
 
 from .indexing import tokenize
 from .operators import Containment, StrictContainment
@@ -34,16 +35,49 @@ __all__ = [
     "StrictContainmentOp",
     "QuerySyntaxError",
     "parse_query",
+    "Plan",
+    "postorder",
+    "fold",
 ]
 
 
-@dataclass(frozen=True)
-class Term:
+class _Node:
+    """Equality, hashing and repr for the query nodes, without recursion.
+
+    Each walks the tree once in post-order with an explicit stack, so a
+    5000-word phrase or a 5000-term ``<`` chain compares, hashes and prints
+    like a short query. Two trees are equal when their post-order lists of
+    node type, parameters (term text, window or mode) and operand count are.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple[tuple[type, tuple[object, ...], int], ...]:
+        return tuple((type(n), _params(n), arity) for n, arity in postorder(self))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return fold(postorder(self), lambda t: _repr_node(t, []), _repr_node)
+
+
+# the dataclass forms of __eq__, __hash__ and __repr__ recurse, so the nodes take _Node's
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
+class Term(_Node):
     text: str
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     children: tuple["Query", ...]
 
     def __post_init__(self) -> None:
@@ -51,8 +85,8 @@ class Or:
             raise ValueError("OR needs at least two children")
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     children: tuple["Query", ...]
 
     def __post_init__(self) -> None:
@@ -60,14 +94,14 @@ class And:
             raise ValueError("AND needs at least two children")
 
 
-@dataclass(frozen=True)
-class Minus:
+@_node
+class Minus(_Node):
     left: "Query"
     right: "Query"
 
 
-@dataclass(frozen=True)
-class Within:
+@_node
+class Within(_Node):
     child: "Query"
     k: int
 
@@ -76,27 +110,27 @@ class Within:
             raise ValueError("WITHIN needs a positive window")
 
 
-@dataclass(frozen=True)
-class OrderedMeet:
+@_node
+class OrderedMeet(_Node):
     left: "Query"
     right: "Query"
 
 
-@dataclass(frozen=True)
-class Block:
+@_node
+class Block(_Node):
     left: "Query"
     right: "Query"
 
 
-@dataclass(frozen=True)
-class ContainmentOp:
+@_node
+class ContainmentOp(_Node):
     left: "Query"
     right: "Query"
     mode: Containment
 
 
-@dataclass(frozen=True)
-class StrictContainmentOp:
+@_node
+class StrictContainmentOp(_Node):
     left: "Query"
     right: "Query"
     mode: StrictContainment
@@ -113,6 +147,67 @@ Query = (
     | ContainmentOp
     | StrictContainmentOp
 )
+
+# a query in post-order: each node with the number of its query operands,
+# which precede it; terms have none
+Plan = list[tuple[Query, int]]
+
+
+def postorder(ast: Query) -> Plan:
+    """Walk ``ast`` with an explicit stack, so its depth costs no recursion."""
+    # node first and operands right to left, reversed, is post-order with
+    # operands left to right
+    plan: Plan = []
+    stack = [ast]
+    while stack:
+        n = stack.pop()
+        operands = _operands(n)
+        plan.append((n, len(operands)))
+        stack.extend(operands)
+    plan.reverse()
+    return plan
+
+
+def _operands(n: Query) -> tuple[Query, ...]:
+    if not isinstance(n, _Node):
+        raise TypeError(f"not a query node: {n!r}")
+    if type(n) is Or or type(n) is And:
+        return n.children
+    return tuple(v for v in vars(n).values() if isinstance(v, _Node))
+
+
+def _params(n: Query) -> tuple[object, ...]:
+    """A node's fields other than its operands: a term's text, a window or a mode."""
+    if type(n) is Or or type(n) is And:
+        return ()
+    return tuple(v for v in vars(n).values() if not isinstance(v, _Node))
+
+
+_T = TypeVar("_T")
+
+
+def fold(plan: Plan, leaf: Callable[[Term], _T], node: Callable[[Query, list[_T]], _T]) -> _T:
+    """``leaf`` gives each term's value, ``node`` each inner node's from its operands' values."""
+    values: list[_T] = []
+    for n, arity in plan:
+        if arity:
+            cut = len(values) - arity
+            values[cut:] = (node(n, values[cut:]),)
+        else:
+            values.append(leaf(n))
+    return values[0]
+
+
+def _repr_node(n: Query, operands: list[str]) -> str:
+    """The dataclass repr of ``n``, given the reprs of its operands."""
+    if type(n) is Or or type(n) is And:
+        fields = [f"children=({', '.join(operands)})"]
+    else:
+        it = iter(operands)
+        fields = [
+            f"{name}={next(it) if isinstance(v, _Node) else repr(v)}" for name, v in vars(n).items()
+        ]
+    return f"{type(n).__name__}({', '.join(fields)})"
 
 
 class QuerySyntaxError(ValueError):

@@ -30,12 +30,7 @@ __all__ = [
 
 def coatom(n: int) -> Antichain:
     """The antichain of all singletons of {0..n-1}: the unique coatom there."""
-    return _singletons(range(n))
-
-
-def _singletons(positions: range | list[int]) -> Antichain:
-    # the callers pass strictly increasing positions
-    return Antichain._trusted(interval_unchecked(x, x) for x in positions)
+    return Antichain._singletons(list(range(n)))
 
 
 def complement_singletons(iv: ExtendedInterval, universe: Universe) -> GeneralAntichain:
@@ -57,7 +52,7 @@ def complement_singletons(iv: ExtendedInterval, universe: Universe) -> GeneralAn
         high = None if iv.right is None else iv.right + 1
         return GeneralAntichain.make(low, BOTTOM, high)
     positions = [x for x in range(n) if not iv.contains_point(x)]
-    return GeneralAntichain.from_antichain(_singletons(positions))
+    return GeneralAntichain.from_antichain(Antichain._singletons(positions))
 
 
 def bracket(low_anchor: int, high_anchor: int) -> Antichain:
@@ -69,7 +64,7 @@ def bracket(low_anchor: int, high_anchor: int) -> Antichain:
     """
     if low_anchor < high_anchor:
         return Antichain._trusted((interval_unchecked(low_anchor, high_anchor),))
-    return _singletons(range(high_anchor, low_anchor + 1))
+    return Antichain._singletons(list(range(high_anchor, low_anchor + 1)))
 
 
 def critical_intervals(a: Antichain, universe: Universe) -> CriticalSet:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from conftest import ac, antichains, interval_lists
+from conftest import ac, antichains, assert_normal, interval_lists
 from minspan.antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
 from minspan.intervals import EMPTY, FULL, ExtendedInterval, Interval
 
@@ -37,6 +37,13 @@ class TestNormalize:
             Antichain([(1, 2), (1, 3)])
         with pytest.raises(ValueError):
             Antichain([(2, 3), (1, 5)])
+
+    def test_positions_checked_unless_trusted(self):
+        for bad in ([3, 1], [2, 2], [0, 4, 4, 7]):
+            with pytest.raises(ValueError):
+                Antichain.of_positions(bad)
+        assert Antichain._singletons((0, 4, 7)) == Antichain.of_positions([0, 4, 7])
+        assert assert_normal(Antichain._singletons(list(range(5)))) == Antichain.of_positions(range(5))
 
     @given(interval_lists())
     def test_result_is_minimal_antichain(self, ivs):

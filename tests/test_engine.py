@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VOCAB, ac, assert_normal, query_asts, show
+from conftest import VOCAB, ac, antichains, assert_normal, query_asts, show
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.engine import (
     SearchResult,
-    _postorder,
     _required_terms,
     evaluate,
     format_score,
@@ -28,7 +27,7 @@ from minspan.operators import (
     ordered_meet,
     pseudo_difference,
 )
-from minspan.queries import parse_query
+from minspan.queries import parse_query, postorder
 from minspan import queries as q
 
 FINAL = ac(
@@ -129,7 +128,31 @@ class TestHomomorphism:
         )
 
 
+def reference_snippets(a, k):
+    """The greedy pick of ``snippets``, with the tie order spelled out in the sort key."""
+    accepted = []
+    for iv in sorted(a.intervals, key=lambda iv: (iv.length, iv.left)):
+        if len(accepted) < k and all(iv.right < b.left or b.right < iv.left for b in accepted):
+            accepted.append(iv)
+    return sorted(accepted)
+
+
+@st.composite
+def long_antichains(draw):
+    """Antichains whose witness lengths reach 10^4, so many lengths are distinct."""
+    out, left, right = [], 0, -1
+    for gap, width in draw(st.lists(st.tuples(st.integers(1, 50), st.integers(0, 10**4)), max_size=40)):
+        left += gap
+        right = max(right + 1, left + width)
+        out.append((left, right))
+    return Antichain(out)
+
+
 class TestSnippets:
+    @given(a=antichains(max_size=12) | long_antichains(), k=st.integers(0, 14))
+    def test_equals_reference(self, a, k):
+        assert snippets(a, k) == reference_snippets(a, k)
+
     def test_worked_example(self):
         assert snippets(FINAL, 3) == [Interval(0, 2), Interval(3, 5), Interval(31, 33)]
 
@@ -150,6 +173,10 @@ class TestSnippets:
 
 
 class TestScore:
+    @given(a=antichains(max_size=12) | long_antichains())
+    def test_equals_sum_of_inverse_lengths(self, a):
+        assert score(a) == sum((Fraction(1, iv.length) for iv in a.intervals), Fraction(0))
+
     def test_worked_example(self):
         assert score(FINAL) == Fraction(177, 50)
 
@@ -206,6 +233,12 @@ class TestSearch:
         results = search(index, "hot", k=0)
         assert [r.doc_id for r in results] == ["a", "b"]
 
+    def test_each_score_ranks_its_ties_by_doc_id(self):
+        # indexed out of order: two texts, each twice, with scores 2 and 1
+        texts = {"d": "hot x hot", "b": "hot", "c": "hot x hot", "a": "hot"}
+        results = search(build_index(texts.items()), "hot", k=0)
+        assert [(r.doc_id, r.score) for r in results] == [("c", 2), ("d", 2), ("a", 1), ("b", 1)]
+
     def test_negative_snippet_count_rejected(self, rhyme_text):
         index = build_index([("rhyme", rhyme_text)])
         with pytest.raises(ValueError, match="nonnegative"):
@@ -239,7 +272,7 @@ class TestRequiredTerms:
         ],
     )
     def test_rules(self, text, required):
-        assert _required_terms(_postorder(parse_query(text))) == required
+        assert _required_terms(postorder(parse_query(text))) == required
 
 
 # each document draws its words from a random subset of the vocabulary, so

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import io
+import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minspan.antichain import Antichain
 from minspan.indexing import PositionalIndex, build_index, tokenize
 
 
@@ -42,6 +47,35 @@ class TestBuildIndex:
             build_index([("a", "x"), ("a", "y")])
 
 
+class TestClosedIndex:
+    """Nothing outside the index can change the postings it checked."""
+
+    def test_documents_cannot_be_assigned(self, rhyme_text):
+        index = build_index([("rhyme", rhyme_text)])
+        with pytest.raises(TypeError):
+            index.docs["other"] = (1, {"x": (0,)})
+        with pytest.raises(TypeError):
+            del index.docs["rhyme"]
+        with pytest.raises(AttributeError):
+            index.docs = {}
+        assert index.doc_ids() == ["rhyme"]
+
+    def test_postings_cannot_be_mutated(self, rhyme_text):
+        index = build_index([("rhyme", rhyme_text)])
+        postings = index.docs["rhyme"][1]
+        with pytest.raises(TypeError):
+            postings["hot"] = (5, 1)
+        with pytest.raises(TypeError):
+            postings["zzz"] = (0,)
+        with pytest.raises(TypeError):
+            del postings["hot"]
+        assert index.positions("rhyme", "hot") == (2, 17, 33)
+
+    def test_docs_argument_refused(self):
+        with pytest.raises(TypeError):
+            PositionalIndex(docs={"a": (1, {"x": (3, 1)})})
+
+
 class TestJsonl:
     def test_round_trip(self, rhyme_text):
         index = build_index([("rhyme", rhyme_text), ("tiny", "one two one")])
@@ -50,6 +84,7 @@ class TestJsonl:
         buf.seek(0)
         loaded = PositionalIndex.load_jsonl(buf)
         assert loaded.docs == index.docs
+        assert loaded == index
 
     def test_deterministic_dump(self, rhyme_text):
         index = build_index([("rhyme", rhyme_text)])
@@ -79,7 +114,77 @@ class TestJsonl:
             '{"doc": "a", "length": "3", "postings": {"x": [1]}}',
             '{"doc": "a", "length": 3, "postings": []}',
             '{"doc": "a", "length": 3, "postings": {"x": ' + "[" * 100_000 + "]" * 100_000 + "}}",
+            '{"doc": "a", "length": 3, "postings": {"x": [' + "9" * 5000 + "]}}",
         ):
             # the bad record follows a good one and a blank line
             with pytest.raises(ValueError, match="^bad index record on line 3: "):
                 PositionalIndex.load_jsonl(io.StringIO(good + "\n" + bad + "\n"))
+
+
+# the values the fuzzer puts into a good record: any JSON value, and small
+# integers, which land near the bounds of positions and lengths
+json_values = st.integers(-2, 4) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(value, path=()):
+    """The path of every value nested in a JSON value, itself included."""
+    yield path
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _slots(v, path + (key,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _slots(v, path + (i,))
+
+
+def _mutate(record, data):
+    """Change one type, value or key somewhere in ``record``, or the record itself."""
+    path = data.draw(st.sampled_from(list(_slots(record))))
+    if not path:
+        return data.draw(json_values)
+    parent = record
+    for step in path[:-1]:
+        parent = parent[step]
+    last = path[-1]
+    action = data.draw(st.sampled_from(["replace", "delete", "rename", "add"]))
+    if action == "replace":
+        parent[last] = data.draw(json_values)
+    elif action == "delete":
+        del parent[last]
+    elif isinstance(parent, dict):
+        key = data.draw(st.text(max_size=6) | st.sampled_from(["doc", "length", "postings", "hot"]))
+        if action == "rename":
+            parent[key] = parent.pop(last)
+        else:
+            parent[key] = data.draw(json_values)
+    else:
+        parent.insert(last, data.draw(json_values))
+    return record
+
+
+class TestLoaderFuzz:
+    # small records, so that a mutation often lands on a position or a length
+    @settings(max_examples=600)
+    @given(data=st.data())
+    def test_mutated_records_load_or_name_their_line(self, data):
+        buf = io.StringIO()
+        build_index([("a", "one two one"), ("b", "x"), ("c", "")]).dump_jsonl(buf)
+        records = [json.loads(line) for line in buf.getvalue().splitlines()]
+        # the mutated record goes last, so a duplicate id is reported on its line
+        victim = records.pop(data.draw(st.integers(0, len(records) - 1)))
+        lines = [json.dumps(r) for r in records] + [json.dumps(_mutate(victim, data))]
+        try:
+            index = PositionalIndex.load_jsonl(io.StringIO("\n".join(lines) + "\n"))
+        except ValueError as exc:
+            assert re.match(f"bad index record on line {len(lines)}: ", str(exc)), exc
+            return
+        # what loads satisfies the invariants search trusts
+        for doc_id, (length, postings) in index.docs.items():
+            assert type(doc_id) is str and type(length) is int and length >= 0
+            for positions in postings.values():
+                Antichain.of_positions(positions)  # raises unless strictly increasing
+                assert 0 <= positions[0] and positions[-1] < length

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given
 
-from conftest import operands, operator, query_asts
+from conftest import operands, operator, query_asts, show
 from minspan import queries as q
 from minspan.operators import Containment, StrictContainment
 from minspan.queries import (
@@ -185,3 +185,52 @@ class TestRoundTrip:
     @given(ast=query_asts())
     def test_minimal_parentheses_parse_back(self, ast):
         assert parse_query(show_minimal(ast)) == ast
+
+
+def reference(ast):
+    """A nested tuple that is equal for two trees exactly when the trees are."""
+    if isinstance(ast, (q.Or, q.And)):
+        return (type(ast), tuple(map(reference, ast.children)))
+    return (type(ast),) + tuple(reference(v) if isinstance(v, q.Query) else v for v in vars(ast).values())
+
+
+def reference_repr(ast):
+    """The repr a dataclass generates, built recursively."""
+    if isinstance(ast, (q.Or, q.And)):
+        return f"{type(ast).__name__}(children=({', '.join(map(reference_repr, ast.children))}))"
+    fields = (
+        f"{name}={reference_repr(v) if isinstance(v, q.Query) else repr(v)}" for name, v in vars(ast).items()
+    )
+    return f"{type(ast).__name__}({', '.join(fields)})"
+
+
+class TestNodeProtocol:
+    """Equality, hashing and repr of query trees walk them without recursion."""
+
+    @given(a=query_asts(), b=query_asts())
+    def test_agrees_with_recursive_reference(self, a, b):
+        assert repr(a) == reference_repr(a)
+        assert (a == b) == (reference(a) == reference(b))
+        twin = parse_query(show(a))
+        assert twin == a and hash(twin) == hash(a)
+
+    def test_other_types_are_unequal(self):
+        assert Term("a") != "a"
+        assert Block(Term("a"), Term("b")) != OrderedMeet(Term("a"), Term("b"))
+        assert Within(Term("a"), 2) != Within(Term("a"), 3)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"' + " ".join(f"w{i}" for i in range(5000)) + '"',
+            " < ".join(f"w{i}" for i in range(5000)),
+        ],
+        ids=["phrase", "ordered_chain"],
+    )
+    def test_5000_terms_deep(self, text):
+        a, b = parse_query(text), parse_query(text)
+        assert a == b and hash(a) == hash(b)
+        assert a != parse_query(text + " < w")
+        assert {a: 1}[b] == 1
+        shown = repr(a)
+        assert shown == repr(b) and shown.count("Term(text=") == 5000
