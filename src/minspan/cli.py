@@ -98,10 +98,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     with open(args.indexfile, encoding="utf-8") as fh:
         index = PositionalIndex.load_jsonl(fh)
+    if args.doc is not None and args.doc not in index.docs:
+        raise ValueError(f"unknown document id: {args.doc!r}")
     results = search(index, args.query, k=args.snippets)
     if args.doc is not None:
-        if args.doc not in index.docs:
-            raise KeyError(f"unknown document id: {args.doc!r}")
         results = [r for r in results if r.doc_id == args.doc]
     for r in results:
         fields = [r.doc_id]

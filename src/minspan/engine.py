@@ -166,14 +166,18 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
 
     Documents with an empty result are dropped; ties rank by document id.
     Documents that lack a term every match needs are skipped before the
-    query is evaluated on them, which leaves the results unchanged.
+    query is evaluated on them, which leaves the results unchanged: only
+    the documents holding the rarest required term are visited at all.
     """
     if k < 0:
         raise ValueError(f"snippet count k must be nonnegative, got {k}")
     plan = q.postorder(q.parse_query(query_text))
     required = _required_terms(plan)
+    docs = index.docs
+    candidates = min(map(index.doc_ids_with, required), key=len) if required else docs
     results: list[SearchResult] = []
-    for doc_id, (_, postings) in index.docs.items():
+    for doc_id in candidates:
+        postings = docs[doc_id][1]
         if not required <= postings.keys():
             continue
         value = _eval(plan, postings)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from collections.abc import Iterable, Mapping
-from operator import lt
+from itertools import chain
+from operator import ge, itemgetter, lt
 from types import MappingProxyType
 from typing import TextIO
 
@@ -26,12 +28,19 @@ class PositionalIndex:
     else can change it: ``docs`` is a read-only view from document id to
     ``(length, postings)``, whose postings are read-only too. So search
     trusts the postings and does not check them again.
+
+    A term -> document-ids map, in insertion order, lets search visit only
+    the documents that hold a term. ``load_jsonl`` builds it once its
+    records are in; an index built document by document builds it when it
+    is first read, so writing an index never pays for it. Once built,
+    ``_store`` keeps it current.
     """
 
-    __slots__ = ("_docs",)
+    __slots__ = ("_docs", "_by_term")
 
     def __init__(self) -> None:
         self._docs: dict[str, tuple[int, Mapping[str, tuple[int, ...]]]] = {}
+        self._by_term: defaultdict[str, list[str]] | None = None
 
     @property
     def docs(self) -> Mapping[str, tuple[int, Mapping[str, tuple[int, ...]]]]:
@@ -46,6 +55,17 @@ class PositionalIndex:
         if doc_id in self._docs:
             raise ValueError(f"duplicate document id: {doc_id!r}")
         self._docs[doc_id] = (length, MappingProxyType(postings))
+        if self._by_term is not None:
+            for term in postings:
+                self._by_term[term].append(doc_id)
+
+    def _terms(self) -> defaultdict[str, list[str]]:
+        if self._by_term is None:
+            self._by_term = defaultdict(list)
+            for doc_id, (_, postings) in self._docs.items():
+                for term in postings:
+                    self._by_term[term].append(doc_id)
+        return self._by_term
 
     def add_document(self, doc_id: str, text: str) -> None:
         postings: dict[str, list[int]] = {}
@@ -64,6 +84,10 @@ class PositionalIndex:
     def positions(self, doc_id: str, term: str) -> tuple[int, ...]:
         """Positions of term in the document; empty when absent."""
         return self._docs[doc_id][1].get(term, ())
+
+    def doc_ids_with(self, term: str) -> tuple[str, ...]:
+        """Ids of the documents that hold term, in insertion order; empty when none."""
+        return tuple(self._terms().get(term, ()))
 
     # one JSON object per line: {"doc":, "length":, "postings": {term: [..]}}
     def dump_jsonl(self, fh: TextIO) -> None:
@@ -86,6 +110,7 @@ class PositionalIndex:
                 index._store(*_parse_record(line))
             except ValueError as exc:
                 raise ValueError(f"bad index record on line {line_no}: {exc}") from exc
+        index._terms()
         return index
 
 
@@ -104,14 +129,42 @@ def _parse_record(line: str) -> tuple[str, int, dict[str, tuple[int, ...]]]:
         raise ValueError(f"length {length!r} of {doc_id!r} is not a nonnegative integer")
     if not isinstance(raw, dict):
         raise ValueError(f"postings of {doc_id!r} are not a JSON object")
-    postings = {}
-    for term, ps in raw.items():
-        if not isinstance(ps, list) or not ps or set(map(type, ps)) != {int}:
-            raise ValueError(f"positions of {term!r} in {doc_id!r} are not a nonempty list of integers")
-        if ps[0] < 0 or ps[-1] >= length or not all(map(lt, ps, ps[1:])):
-            raise ValueError(f"bad positions for {term!r} in {doc_id!r}")
-        postings[term] = tuple(ps)
-    return doc_id, length, postings
+    lists = list(raw.values())
+    if not _positions_ok(lists, length):
+        # name the first bad term, as the whole-record check cannot
+        for term, ps in raw.items():
+            if not isinstance(ps, list) or not ps or set(map(type, ps)) != {int}:
+                raise ValueError(f"positions of {term!r} in {doc_id!r} are not a nonempty list of integers")
+            if ps[0] < 0 or ps[-1] >= length or not all(map(lt, ps, ps[1:])):
+                raise ValueError(f"bad positions for {term!r} in {doc_id!r}")
+    return doc_id, length, dict(zip(raw, map(tuple, lists)))
+
+
+_first, _last = itemgetter(0), itemgetter(-1)
+
+
+def _positions_ok(lists: list[object], length: int) -> bool:
+    """Whether every list is a nonempty, strictly increasing run of ints in [0, length).
+
+    The checks run over the whole record at once rather than per list. Each
+    decreasing or equal neighbour pair of the concatenated lists lies either
+    inside one list or across the boundary of two, so no list holds one
+    exactly when the concatenation has as many as its boundaries have.
+    """
+    if not set(map(type, lists)) <= {list} or not all(lists):
+        return False
+    flat = list(chain.from_iterable(lists))
+    # type() and not isinstance(), so that bools are rejected
+    if not set(map(type, flat)) <= {int}:
+        return False
+    if not lists:
+        return True
+    firsts, lasts = list(map(_first, lists)), list(map(_last, lists))
+    return (
+        min(firsts) >= 0
+        and max(lasts) < length
+        and sum(map(ge, flat, flat[1:])) == sum(map(ge, lasts, firsts[1:]))
+    )
 
 
 def build_index(docs: Iterable[tuple[str, str]]) -> PositionalIndex:

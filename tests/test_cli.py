@@ -47,8 +47,9 @@ class TestIndexAndQuery:
         code, out = run_cli(capsys, "query", str(idx), "--q", "hot", "--doc", "rhyme.txt", "--score")
         assert code == 0
         assert out == "rhyme.txt\t3.0000\n"
-        code, _ = run_cli(capsys, "query", str(idx), "--q", "hot", "--doc", "other")
+        code = main(["query", str(idx), "--q", "hot", "--doc", "other"])
         assert code == 2
+        assert capsys.readouterr().err == "minspan: error: unknown document id: 'other'\n"
 
     def test_index_output_deterministic(self, capsys, tmp_path):
         one, two = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from minspan.engine import (
     search,
     snippets,
 )
-from minspan.indexing import build_index
+from minspan.indexing import PositionalIndex, build_index
 from minspan.intervals import Interval
 from minspan.operators import (
     block,
@@ -297,4 +298,9 @@ class TestPruning:
             if not value.is_bottom:
                 expected.append(SearchResult(doc_id, score(value), tuple(snippets(value, k))))
         expected.sort(key=lambda r: (-r.score, r.doc_id))
+        # the built index makes its term map on first use, the loaded one at load
+        buf = io.StringIO()
+        index.dump_jsonl(buf)
+        buf.seek(0)
         assert search(index, text, k) == expected
+        assert search(PositionalIndex.load_jsonl(buf), text, k) == expected

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minspan.antichain import Antichain
-from minspan.indexing import PositionalIndex, build_index, tokenize
+from minspan.engine import search
+from minspan.indexing import PositionalIndex, _parse_record, _positions_ok, build_index, tokenize
 
 
 class TestTokenize:
@@ -76,13 +77,62 @@ class TestClosedIndex:
             PositionalIndex(docs={"a": (1, {"x": (3, 1)})})
 
 
+def _round_trip(index: PositionalIndex) -> PositionalIndex:
+    buf = io.StringIO()
+    index.dump_jsonl(buf)
+    buf.seek(0)
+    return PositionalIndex.load_jsonl(buf)
+
+
+def _vocabulary(index: PositionalIndex) -> list[str]:
+    return sorted({t for _, postings in index.docs.values() for t in postings})
+
+
+def _term_map(index: PositionalIndex) -> dict[str, tuple[str, ...]]:
+    """Each term of the index with ``doc_ids_with`` of it."""
+    return {t: index.doc_ids_with(t) for t in _vocabulary(index)}
+
+
+def _derived_map(index: PositionalIndex) -> dict[str, tuple[str, ...]]:
+    """The term -> document-ids map read off ``docs``, in document order."""
+    docs = index.docs
+    return {t: tuple(d for d, (_, postings) in docs.items() if t in postings) for t in _vocabulary(index)}
+
+
+class TestTermMap:
+    def test_rhyme_lists(self, rhyme_text):
+        index = build_index([("rhyme", rhyme_text), ("tiny", "one two hot one")])
+        assert index.doc_ids_with("hot") == ("rhyme", "tiny")
+        assert index.doc_ids_with("pease") == ("rhyme",)
+        assert index.doc_ids_with("two") == ("tiny",)
+        assert _term_map(index) == _derived_map(index)
+
+    def test_absent_term(self, rhyme_text):
+        index = build_index([("rhyme", rhyme_text)])
+        assert index.doc_ids_with("zzz") == ()
+        assert build_index([]).doc_ids_with("hot") == ()
+
+    def test_round_trip_keeps_map(self, rhyme_text):
+        index = build_index([("tiny", "one two one"), ("rhyme", rhyme_text), ("x", "hot x")])
+        assert _term_map(_round_trip(index)) == _term_map(index) == _derived_map(index)
+
+    def test_add_after_load_or_search(self, rhyme_text):
+        loaded = _round_trip(build_index([("rhyme", rhyme_text)]))
+        searched = build_index([("rhyme", rhyme_text)])
+        assert [r.doc_id for r in search(searched, "hot")] == ["rhyme"]
+        for index in (loaded, searched):
+            index.add_document("tiny", "hot new words")
+            index.add_document("empty", "")
+            assert index.doc_ids_with("hot") == ("rhyme", "tiny")
+            assert index.doc_ids_with("new") == ("tiny",)
+            assert _term_map(index) == _derived_map(index)
+            assert [r.doc_id for r in search(index, "hot AND words")] == ["tiny"]
+
+
 class TestJsonl:
     def test_round_trip(self, rhyme_text):
         index = build_index([("rhyme", rhyme_text), ("tiny", "one two one")])
-        buf = io.StringIO()
-        index.dump_jsonl(buf)
-        buf.seek(0)
-        loaded = PositionalIndex.load_jsonl(buf)
+        loaded = _round_trip(index)
         assert loaded.docs == index.docs
         assert loaded == index
 
@@ -115,10 +165,53 @@ class TestJsonl:
             '{"doc": "a", "length": 3, "postings": []}',
             '{"doc": "a", "length": 3, "postings": {"x": ' + "[" * 100_000 + "]" * 100_000 + "}}",
             '{"doc": "a", "length": 3, "postings": {"x": [' + "9" * 5000 + "]}}",
+            '{"doc": "a", "length": 3, "postings": {"x": [0, 2], "y": [1, 1]}}',
+            '{"doc": "a", "length": 3, "postings": {"x": [0], "y": [true]}}',
         ):
             # the bad record follows a good one and a blank line
             with pytest.raises(ValueError, match="^bad index record on line 3: "):
                 PositionalIndex.load_jsonl(io.StringIO(good + "\n" + bad + "\n"))
+
+    def test_decrease_across_lists_loads(self):
+        # the positions fall only from the end of one list to the start of the next
+        record = '{"doc": "a", "length": 3, "postings": {"x": [2], "y": [0, 1]}}\n'
+        index = PositionalIndex.load_jsonl(io.StringIO(record))
+        assert index.docs["a"] == (3, {"x": (2,), "y": (0, 1)})
+
+
+def _per_list_rule(doc_id, length, raw):
+    """The loader's rule on positions, one list at a time: None if they load, else the message."""
+    for term, ps in raw.items():
+        if not isinstance(ps, list) or not ps or set(map(type, ps)) != {int}:
+            return f"positions of {term!r} in {doc_id!r} are not a nonempty list of integers"
+        if ps[0] < 0 or ps[-1] >= length or any(a >= b for a, b in zip(ps, ps[1:])):
+            return f"bad positions for {term!r} in {doc_id!r}"
+    return None
+
+
+small_positions = st.integers(-2, 6)
+position_lists = (
+    st.sets(st.integers(0, 5), min_size=1, max_size=4).map(sorted)
+    | st.lists(small_positions, max_size=4)
+    | st.lists(small_positions | st.booleans() | st.floats(), max_size=3)
+)
+postings_values = position_lists | position_lists | st.none() | small_positions | st.text(max_size=2)
+
+
+class TestLoaderDifferential:
+    @settings(max_examples=1000)
+    @given(length=st.integers(0, 6), raw=st.dictionaries(st.text(max_size=2), postings_values, max_size=5))
+    def test_accepts_and_names_as_per_list_rule(self, length, raw):
+        line = json.dumps({"doc": "d", "length": length, "postings": raw})
+        expected = _per_list_rule("d", length, raw)
+        # the whole-record check is exact, so a good record never takes the per-term loop
+        assert _positions_ok(list(raw.values()), length) == (expected is None)
+        if expected is None:
+            assert _parse_record(line) == ("d", length, {t: tuple(ps) for t, ps in raw.items()})
+        else:
+            with pytest.raises(ValueError) as info:
+                _parse_record(line)
+            assert str(info.value) == expected
 
 
 # the values the fuzzer puts into a good record: any JSON value, and small
