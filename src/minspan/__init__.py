@@ -9,7 +9,7 @@ scoring) built on top.
 """
 
 from .antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
-from .engine import SearchResult, evaluate, format_score, score, search, snippets
+from .engine import SearchResult, evaluate, format_score, score, search, search_document, snippets
 from .enumeration import LevelProfile, cardinality, enumerate_lattice, level_profile, width
 from .indexing import PositionalIndex, build_index, tokenize
 from .intervals import EMPTY, FULL, UNBOUNDED, ExtendedInterval, Interval, Universe
@@ -27,6 +27,7 @@ from .operators import (
     rank,
     strict_containment,
     symmetric_difference,
+    within,
 )
 from .queries import QuerySyntaxError, parse_query
 from .representation import (
@@ -62,6 +63,7 @@ __all__ = [
     "strict_containment",
     "ordered_meet",
     "block",
+    "within",
     "rank",
     "complement_singletons",
     "bracket",
@@ -84,6 +86,7 @@ __all__ = [
     "score",
     "format_score",
     "search",
+    "search_document",
     "SearchResult",
 ]
 

@@ -10,9 +10,10 @@ so proper interval lists never hold a degenerate member.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter, le, lt
 from typing import Iterable, Iterator
 
 from .intervals import EMPTY, FULL, ExtendedInterval, Interval
@@ -26,77 +27,60 @@ def _as_interval(v: IntervalLike) -> Interval:
     return v if isinstance(v, Interval) else Interval(v[0], v[1])
 
 
-def _sweep_minimal(sorted_intervals: Iterable[Interval]) -> list[Interval]:
-    """Keep the inclusion-minimal intervals of a naturally sorted stream.
-
-    The result list always has strictly increasing lefts and rights, so the
-    output is an antichain in normal form.
-    """
-    out: list[Interval] = []
-    append, pop = out.append, out.pop
-    last_left = last_right = None
-    for cur in sorted_intervals:
-        left, right = cur
-        if last_left is not None:
-            if last_left == left:
-                # same left, smaller-or-equal right already kept
-                continue
-            while last_right >= right:
-                pop()
-                if out:
-                    last_left, last_right = out[-1]
-                else:
-                    last_left = last_right = None
-                    break
-        append(cur)
-        last_left, last_right = left, right
-    return out
-
-
 class Antichain:
     """A normalized antichain of nonempty intervals, or the top element {∅}.
 
-    The public constructors check their input; computed results, normal by
-    construction, are wrapped by the unchecked :meth:`_trusted` instead.
+    The intervals are kept as two columns of ints, their left extremes and
+    their right extremes, each a strictly increasing tuple. The public
+    constructors check their input; computed results, normal by
+    construction, are wrapped by the unchecked :meth:`_cols` instead.
     """
 
-    __slots__ = ("_intervals", "_top")
+    __slots__ = ("_lefts", "_rights", "_top")
 
     def __init__(self, intervals: Iterable[IntervalLike] = (), *, top: bool = False):
-        ivs = () if top else tuple(_as_interval(v) for v in intervals)
-        if top and ivs:
+        pairs = tuple(intervals)
+        if top and pairs:
             raise ValueError("top antichain holds no concrete intervals")
-        prev: Interval | None = None
-        for iv in ivs:
-            if prev is not None and (iv[0] <= prev[0] or iv[1] <= prev[1]):
-                raise ValueError(f"not in normal form: {prev} before {iv}")
-            prev = iv
-        self._intervals = ivs
-        self._top = top
+        lefts, rights = tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
+        # whole-column passes; the loops only name the first bad interval
+        if not all(map(le, lefts, rights)):
+            for pair in pairs:
+                _as_interval(pair)
+        if not (all(map(lt, lefts, lefts[1:])) and all(map(lt, rights, rights[1:]))):
+            for prev, cur in zip(map(_as_interval, pairs), map(_as_interval, pairs[1:])):
+                if cur[0] <= prev[0] or cur[1] <= prev[1]:
+                    raise ValueError(f"not in normal form: {prev} before {cur}")
+        self._lefts, self._rights, self._top = lefts, rights, top
 
     # construction ---------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, intervals: Iterable[Interval]) -> "Antichain":
-        """Wrap intervals already in normal form, without checking them."""
-        self = object.__new__(cls)
-        self._intervals = tuple(intervals)
-        self._top = False
-        return self
+    def _cols(cls, lefts: Iterable[int], rights: Iterable[int]) -> "Antichain":
+        """Wrap the extremes of intervals already in normal form, without checking them.
 
-    @classmethod
-    def _singletons(cls, positions: Sequence[int]) -> "Antichain":
-        """Wrap the singletons at strictly increasing positions, without checking them.
-
-        Both extremes of each interval are the sequence's own int object, so
-        pass a list or tuple: a range would make a second int per position.
+        A tuple column is kept as it is, so a posting tuple serves as both
+        columns of its term's singletons with no copy.
         """
-        return cls._trusted(map(tuple.__new__, repeat(Interval), zip(positions, positions)))
+        self = object.__new__(cls)
+        self._lefts, self._rights, self._top = tuple(lefts), tuple(rights), False
+        return self
 
     @classmethod
     def normalize(cls, intervals: Iterable[IntervalLike]) -> "Antichain":
         """The antichain of inclusion-minimal intervals of an arbitrary collection."""
-        return cls._trusted(_sweep_minimal(sorted(map(_as_interval, intervals))))
+        lefts: list[int] = []
+        rights: list[int] = []
+        for left, right in sorted(map(_as_interval, intervals)):
+            if lefts and lefts[-1] == left:
+                # same left, smaller-or-equal right already kept
+                continue
+            while rights and rights[-1] >= right:
+                lefts.pop()
+                rights.pop()
+            lefts.append(left)
+            rights.append(right)
+        return cls._cols(lefts, rights)
 
     @classmethod
     def singleton(cls, left: int, right: int | None = None) -> "Antichain":
@@ -106,7 +90,8 @@ class Antichain:
     @classmethod
     def of_positions(cls, positions: Iterable[int]) -> "Antichain":
         """Antichain of singleton intervals at strictly increasing positions."""
-        return cls(Interval(p, p) for p in positions)
+        ps = tuple(positions)
+        return cls(zip(ps, ps))
 
     @classmethod
     def top(cls) -> "Antichain":
@@ -124,16 +109,19 @@ class Antichain:
 
     @property
     def is_bottom(self) -> bool:
-        return not self._top and not self._intervals
+        return not self._top and not self._lefts
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
+        """The members in natural order, built afresh from the columns on each call."""
         if self._top:
             raise ValueError("top antichain has no concrete intervals")
-        return self._intervals
+        return tuple(map(tuple.__new__, repeat(Interval), zip(self._lefts, self._rights)))
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        if self._top:
+            raise ValueError("top antichain has no concrete intervals")
+        return len(self._lefts)
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.intervals)
@@ -141,27 +129,27 @@ class Antichain:
     def __contains__(self, iv: IntervalLike) -> bool:
         if self._top:
             return False
-        return _as_interval(iv) in self._intervals
+        return _as_interval(iv) in zip(self._lefts, self._rights)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Antichain):
             return NotImplemented
-        return self._top == other._top and self._intervals == other._intervals
+        return self._top == other._top and self._lefts == other._lefts and self._rights == other._rights
 
     def __hash__(self) -> int:
-        return hash((self._top, self._intervals))
+        return hash((self._top, self._lefts, self._rights))
 
     def __repr__(self) -> str:
         if self._top:
             return "Antichain.top()"
-        return f"Antichain({list(self._intervals)!r})"
+        return f"Antichain({list(self.intervals)!r})"
 
     def __str__(self) -> str:
         if self._top:
             return "{∅}"
-        if not self._intervals:
+        if not self._lefts:
             return "0"
-        return "{" + ", ".join(map(str, self._intervals)) + "}"
+        return "{" + ", ".join(map(str, self.intervals)) + "}"
 
 
 BOTTOM = Antichain()
@@ -189,12 +177,12 @@ class GeneralAntichain:
             if self.low_ray is not None or self.high_ray is not None:
                 raise ValueError("top value carries no rays")
             return
-        ivs = self.core.intervals
-        if self.low_ray is not None and ivs and ivs[0].left <= self.low_ray:
+        lefts, rights = self.core._lefts, self.core._rights
+        if self.low_ray is not None and lefts and lefts[0] <= self.low_ray:
             raise ValueError("core overlaps the low ray")
-        if self.high_ray is not None and ivs and ivs[-1].right >= self.high_ray:
+        if self.high_ray is not None and rights and rights[-1] >= self.high_ray:
             raise ValueError("core overlaps the high ray")
-        if self.low_ray is not None and self.high_ray is not None and not ivs:
+        if self.low_ray is not None and self.high_ray is not None and not lefts:
             # low_ray + 1 == high_ray would denote the set of all singletons,
             # which has no canonical finite description in this scheme
             if self.low_ray + 1 >= self.high_ray:
@@ -209,17 +197,17 @@ class GeneralAntichain:
     ) -> "GeneralAntichain":
         if core.is_top:
             return cls(None, TOP, None)
-        ivs = core.intervals
-        start, end = 0, len(ivs)
+        lefts, rights = core._lefts, core._rights
+        start, end = 0, len(lefts)
         if low_ray is not None:
-            while start < end and ivs[start][0] == ivs[start][1] == low_ray + 1:
+            while start < end and lefts[start] == rights[start] == low_ray + 1:
                 low_ray += 1
                 start += 1
         if high_ray is not None:
-            while start < end and ivs[end - 1][0] == ivs[end - 1][1] == high_ray - 1:
+            while start < end and lefts[end - 1] == rights[end - 1] == high_ray - 1:
                 high_ray -= 1
                 end -= 1
-        return cls(low_ray, Antichain._trusted(ivs[start:end]), high_ray)
+        return cls(low_ray, Antichain._cols(lefts[start:end], rights[start:end]), high_ray)
 
     @classmethod
     def top(cls) -> "GeneralAntichain":
@@ -248,21 +236,24 @@ class GeneralAntichain:
         return self.core
 
     def materialize(self, n: int) -> Antichain:
-        """Expand the rays within {0..n-1} and renormalize to a finite antichain."""
+        """Expand the rays within {0..n-1} into a finite antichain.
+
+        The core lies strictly between the rays, so the low ray's
+        singletons, the core and the high ray's singletons follow each other
+        in normal form.
+        """
         if n < 1:
             raise ValueError("universe size must be positive")
         if self.is_top:
             return TOP
-        ivs: list[Interval] = []
-        if self.low_ray is not None:
-            ivs.extend(Interval(x, x) for x in range(0, min(self.low_ray, n - 1) + 1))
-        for iv in self.core.intervals:
-            if iv.left < 0 or iv.right > n - 1:
-                raise ValueError(f"core interval {iv} outside universe of size {n}")
-            ivs.append(iv)
-        if self.high_ray is not None:
-            ivs.extend(Interval(x, x) for x in range(max(self.high_ray, 0), n))
-        return Antichain.normalize(ivs)
+        lefts, rights = self.core._lefts, self.core._rights
+        if lefts and (lefts[0] < 0 or rights[-1] > n - 1):
+            # lefts below 0 form a prefix, rights above n - 1 a suffix
+            at = 0 if lefts[0] < 0 else bisect_right(rights, n - 1)
+            raise ValueError(f"core interval {Interval(lefts[at], rights[at])} outside universe of size {n}")
+        low = range(0 if self.low_ray is None else min(self.low_ray, n - 1) + 1)
+        high = range(n if self.high_ray is None else max(self.high_ray, 0), n)
+        return Antichain._cols((*low, *lefts, *high), (*low, *rights, *high))
 
     def __str__(self) -> str:
         if self.is_top:

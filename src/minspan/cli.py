@@ -9,18 +9,43 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .antichain import Antichain
-from .engine import format_score, search
+from .engine import format_score, search, search_document
 from .enumeration import cardinality, enumerate_lattice, level_profile, width
 from .indexing import PositionalIndex, build_index
 from .intervals import Universe
-from .operators import join, leq, meet, pseudo_difference, rank
-from .oracle import oracle_bound, oracle_crit, oracle_leq, oracle_rank, oracle_residual
+from .operators import Containment, StrictContainment, block, filter_containment, join, leq, meet
+from .operators import ordered_meet, pseudo_difference, rank, strict_containment, within
+from .oracle import oracle_bound, oracle_crit, oracle_filter, oracle_leq, oracle_rank
+from .oracle import oracle_residual, oracle_spans, oracle_within
 from .representation import critical_intervals, relative_pseudo_complement
 
-CHECK_OPS = ("leq", "join", "meet", "minus", "implies", "crit", "rank")
+# op -> whether the closed form agrees with the oracle on (a, b) over
+# {0..n-1}; the ops in _PER_ELEMENT look at a alone
+_CHECKS: dict[str, Callable[[Antichain, Antichain, int], bool]] = {
+    "leq": lambda a, b, n: leq(a, b) == oracle_leq(a, b, n),
+    "join": lambda a, b, n: join(a, b) == oracle_bound(a, b, n, "join"),
+    "meet": lambda a, b, n: meet(a, b) == oracle_bound(a, b, n, "meet"),
+    "minus": lambda a, b, n: pseudo_difference(a, b) == oracle_residual(a, b, n, "minus"),
+    "implies": lambda a, b, n: (
+        relative_pseudo_complement(a, b, Universe.bounded(n)).to_antichain()
+        == oracle_residual(a, b, n, "implies")
+    ),
+    "crit": lambda a, _, n: critical_intervals(a, Universe.bounded(n)).clamp(n) == oracle_crit(a, n),
+    "rank": lambda a, _, n: rank(a, n) == oracle_rank(a, n),
+    "ordered_meet": lambda a, b, n: ordered_meet(a, b) == oracle_spans(a, b, "ordered"),
+    "block": lambda a, b, n: block(a, b) == oracle_spans(a, b, "block"),
+    **{m.value: lambda a, b, n, m=m: filter_containment(a, b, m) == oracle_filter(a, b, m)
+       for m in Containment},
+    **{m.value: lambda a, b, n, m=m: strict_containment(a, b, m) == oracle_filter(a, b, m)
+       for m in StrictContainment},
+    "within": lambda a, _, n: all(within(a, k) == oracle_within(a, k) for k in range(n + 1)),
+}
+_PER_ELEMENT = frozenset({"crit", "rank", "within"})
+CHECK_OPS = tuple(_CHECKS)
 _SAMPLE_SEED = 0x5EED
 
 
@@ -98,11 +123,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     with open(args.indexfile, encoding="utf-8") as fh:
         index = PositionalIndex.load_jsonl(fh)
-    if args.doc is not None and args.doc not in index.docs:
-        raise ValueError(f"unknown document id: {args.doc!r}")
-    results = search(index, args.query, k=args.snippets)
-    if args.doc is not None:
-        results = [r for r in results if r.doc_id == args.doc]
+    if args.doc is None:
+        results = search(index, args.query, k=args.snippets)
+    else:
+        results = search_document(index, args.query, args.doc, k=args.snippets)
     for r in results:
         fields = [r.doc_id]
         if args.score:
@@ -145,19 +169,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         ]
     else:
         pairs = [(a, b) for a in elements for b in elements]
-    universe = Universe.bounded(n)
     failures = 0
     for op in ops:
-        bad = 0
-        if op in ("crit", "rank"):
-            for a in elements:
-                if not _agree(op, a, a, n, universe):
-                    bad += 1
+        check = _CHECKS[op]
+        if op in _PER_ELEMENT:
+            bad = sum(not check(a, a, n) for a in elements)
             label = f"{len(elements)} elements"
         else:
-            for a, b in pairs:
-                if not _agree(op, a, b, n, universe):
-                    bad += 1
+            bad = sum(not check(a, b, n) for a, b in pairs)
             label = f"{len(pairs)} pairs"
         if bad:
             failures += 1
@@ -169,25 +188,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
     print("OK")
     return 0
-
-
-def _agree(op: str, a: Antichain, b: Antichain, n: int, universe: Universe) -> bool:
-    if op == "leq":
-        return leq(a, b) == oracle_leq(a, b, n)
-    if op == "join":
-        return join(a, b) == oracle_bound(a, b, n, "join")
-    if op == "meet":
-        return meet(a, b) == oracle_bound(a, b, n, "meet")
-    if op == "minus":
-        return pseudo_difference(a, b) == oracle_residual(a, b, n, "minus")
-    if op == "implies":
-        value = relative_pseudo_complement(a, b, universe).to_antichain()
-        return value == oracle_residual(a, b, n, "implies")
-    if op == "crit":
-        return critical_intervals(a, universe).clamp(n) == oracle_crit(a, n)
-    if op == "rank":
-        return rank(a, n) == oracle_rank(a, n)
-    raise AssertionError(op)
 
 
 if __name__ == "__main__":

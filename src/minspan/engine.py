@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, sub
 
 from . import queries as q
 from .antichain import Antichain
@@ -30,9 +30,10 @@ from .operators import (
     ordered_meet,
     pseudo_difference,
     strict_containment,
+    within,
 )
 
-__all__ = ["evaluate", "snippets", "score", "format_score", "SearchResult", "search"]
+__all__ = ["evaluate", "snippets", "score", "format_score", "SearchResult", "search", "search_document"]
 
 
 def evaluate(ast: q.Query, index: PositionalIndex, doc_id: str) -> Antichain:
@@ -43,8 +44,9 @@ def evaluate(ast: q.Query, index: PositionalIndex, doc_id: str) -> Antichain:
 
 
 def _eval(plan: q.Plan, postings: Mapping[str, tuple[int, ...]]) -> Antichain:
-    # the index checked its postings when they entered it and keeps them read-only
-    return q.fold(plan, lambda t: Antichain._singletons(postings.get(t.text, ())), _apply)
+    # the index checked its postings when they entered it and keeps them
+    # read-only; a term's singletons have its postings as both columns
+    return q.fold(plan, lambda t: Antichain._cols(p := postings.get(t.text, ()), p), _apply)
 
 
 def _apply(n: q.Query, values: list[Antichain]) -> Antichain:
@@ -81,13 +83,6 @@ def _requires(n: q.Query, values: list[frozenset[str]]) -> frozenset[str]:
     return values[0]
 
 
-def _within(a: Antichain, k: int) -> Antichain:
-    if a.is_top:
-        return a
-    # a width below k spans at most k positions
-    return Antichain._trusted(iv for iv in a.intervals if iv[1] - iv[0] < k)
-
-
 # OR and AND fold their children; the other nodes apply their operator to
 # their evaluated operands followed by their mode or window
 _OPERATORS: dict[type, Callable[..., Antichain]] = {
@@ -98,7 +93,7 @@ _OPERATORS: dict[type, Callable[..., Antichain]] = {
     q.Block: block,
     q.ContainmentOp: filter_containment,
     q.StrictContainmentOp: strict_containment,
-    q.Within: _within,
+    q.Within: within,
 }
 
 
@@ -110,24 +105,23 @@ def snippets(a: Antichain, k: int) -> list[Interval]:
     """
     if a.is_top:
         raise ValueError("the top element has no snippet intervals")
-    accepted: list[Interval] = []
-    lefts: list[int] = []
+    lefts, rights = a._lefts, a._rights
+    widths = list(map(sub, rights, lefts))
+    kept_lefts: list[int] = []
+    kept_rights: list[int] = []
     # the intervals are in left order and the sort is stable, so ties stay left first
-    for iv in sorted(a.intervals, key=_width):
-        if len(accepted) >= k:
+    for i in sorted(range(len(widths)), key=widths.__getitem__):
+        if len(kept_lefts) >= k:
             break
-        at = bisect_left(lefts, iv.left)
-        if at < len(accepted) and accepted[at].left <= iv.right:
+        left, right = lefts[i], rights[i]
+        at = bisect_left(kept_lefts, left)
+        if at < len(kept_lefts) and kept_lefts[at] <= right:
             continue
-        if at > 0 and accepted[at - 1].right >= iv.left:
+        if at > 0 and kept_rights[at - 1] >= left:
             continue
-        accepted.insert(at, iv)
-        lefts.insert(at, iv.left)
-    return accepted
-
-
-def _width(iv: Interval) -> int:
-    return iv[1] - iv[0]
+        kept_lefts.insert(at, left)
+        kept_rights.insert(at, right)
+    return list(map(Interval, kept_lefts, kept_rights))
 
 
 def score(a: Antichain) -> Fraction:
@@ -138,7 +132,7 @@ def score(a: Antichain) -> Fraction:
     """
     if a.is_top:
         raise ValueError("the top element is not scoreable")
-    counts = Counter(map(_width, a.intervals))
+    counts = Counter(map(sub, a._rights, a._lefts))
     common = lcm(*(w + 1 for w in counts))
     return Fraction(sum(c * (common // (w + 1)) for w, c in counts.items()), common)
 
@@ -169,22 +163,37 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
     query is evaluated on them, which leaves the results unchanged: only
     the documents holding the rarest required term are visited at all.
     """
-    if k < 0:
-        raise ValueError(f"snippet count k must be nonnegative, got {k}")
-    plan = q.postorder(q.parse_query(query_text))
+    plan = _plan(query_text, k)
     required = _required_terms(plan)
     docs = index.docs
     candidates = min(map(index.doc_ids_with, required), key=len) if required else docs
     results: list[SearchResult] = []
     for doc_id in candidates:
         postings = docs[doc_id][1]
-        if not required <= postings.keys():
-            continue
-        value = _eval(plan, postings)
-        if value.is_bottom:
-            continue
-        results.append(SearchResult(doc_id, score(value), tuple(snippets(value, k))))
+        if required <= postings.keys() and (result := _result(plan, doc_id, postings, k)):
+            results.append(result)
     # two stable sorts: by score, highest first, and ties by document id
     results.sort(key=attrgetter("doc_id"))
     results.sort(key=attrgetter("score"), reverse=True)
     return results
+
+
+def search_document(index: PositionalIndex, query_text: str, doc_id: str, k: int = 0) -> list[SearchResult]:
+    """The results of ``search`` that belong to one document, found by evaluating that document alone."""
+    if doc_id not in index.docs:
+        raise ValueError(f"unknown document id: {doc_id!r}")
+    result = _result(_plan(query_text, k), doc_id, index.docs[doc_id][1], k)
+    return [] if result is None else [result]
+
+
+def _plan(query_text: str, k: int) -> q.Plan:
+    if k < 0:
+        raise ValueError(f"snippet count k must be nonnegative, got {k}")
+    return q.postorder(q.parse_query(query_text))
+
+
+def _result(plan: q.Plan, doc_id: str, postings: Mapping[str, tuple[int, ...]], k: int) -> SearchResult | None:
+    value = _eval(plan, postings)
+    if value.is_bottom:
+        return None
+    return SearchResult(doc_id, score(value), tuple(snippets(value, k)))

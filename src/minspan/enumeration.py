@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .antichain import TOP, Antichain
-from .intervals import Interval
 from .operators import rank
 
 __all__ = [
@@ -43,15 +42,22 @@ def enumerate_lattice(n: int) -> Iterator[Antichain]:
     """
     if n < 0:
         raise ValueError("universe size must be nonnegative")
-    stack: list[Interval] = []
+    lefts: list[int] = []
+    rights: list[int] = []
+    # a column is a strictly increasing subset of the n positions, so at
+    # most 2**n distinct ones occur; every value shares its columns
+    columns: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def grow(lo: int, ro: int) -> Iterator[Antichain]:
-        yield Antichain._trusted(stack)
+        ls, rs = tuple(lefts), tuple(rights)
+        yield Antichain._cols(columns.setdefault(ls, ls), columns.setdefault(rs, rs))
         for i in range(lo, n):
             for j in range(max(i, ro), n):
-                stack.append(Interval(i, j))
+                lefts.append(i)
+                rights.append(j)
                 yield from grow(i + 1, j + 1)
-                stack.pop()
+                lefts.pop()
+                rights.pop()
 
     yield from grow(0, 0)
     yield TOP
@@ -133,10 +139,10 @@ def _downset_mask(a: Antichain, n: int) -> int:
     if a.is_top:
         return (1 << (num + 1)) - 1
     mask = 0
-    for iv in a.intervals:
-        for left in range(0, iv.left + 1):
+    for member_left, member_right in zip(a._lefts, a._rights):
+        for left in range(0, member_left + 1):
             base = _interval_bit(left, n)
-            lo, hi = max(iv.right, left), n - 1
+            lo, hi = max(member_right, left), n - 1
             # contiguous run of bits for [left..lo] .. [left..hi]
             mask |= ((1 << (hi - lo + 1)) - 1) << (base + (lo - left))
     return mask

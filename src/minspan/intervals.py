@@ -50,10 +50,10 @@ class Interval(namedtuple("_IntervalBase", ("left", "right"))):
     """Nonempty closed integer interval [left..right].
 
     A tuple subclass, so intervals compare and sort in natural order (by
-    left extreme, then right) and construction stays cheap in the merge
-    loops that build antichains by the hundred thousand. The empty interval
-    is deliberately not an Interval value; it only exists implicitly inside
-    the top antichain, so span and merge loops never special-case it.
+    left extreme, then right). Antichains keep int columns and build an
+    Interval only when one is asked for. The empty interval is deliberately
+    not an Interval value; it only exists implicitly inside the top
+    antichain, so span and merge loops never special-case it.
     """
 
     __slots__ = ()
@@ -73,11 +73,6 @@ class Interval(namedtuple("_IntervalBase", ("left", "right"))):
 
     def __str__(self) -> str:
         return f"[{self[0]}..{self[1]}]"
-
-
-def interval_unchecked(left: int, right: int) -> Interval:
-    """Construction without the emptiness check, for spans known to be valid."""
-    return tuple.__new__(Interval, (left, right))
 
 
 # ExtendedInterval uses None to mean "unbounded on this side"; the empty

@@ -10,9 +10,10 @@ is a subset of everything and a superset of nothing.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import compress
+from operator import eq
 
-from .antichain import BOTTOM, TOP, Antichain, _sweep_minimal
-from .intervals import Interval, interval_unchecked
+from .antichain import BOTTOM, TOP, Antichain
 
 __all__ = [
     "leq",
@@ -27,6 +28,7 @@ __all__ = [
     "strict_containment",
     "ordered_meet",
     "block",
+    "within",
     "rank",
 ]
 
@@ -40,11 +42,20 @@ def leq(a: Antichain, b: Antichain) -> bool:
 
 
 def join(a: Antichain, b: Antichain) -> Antichain:
-    """Least upper bound: the inclusion-minimal intervals of the union."""
+    """Least upper bound: the inclusion-minimal intervals of the union.
+
+    b - a keeps the intervals of b that no interval of a refines, and
+    a - (b - a) the intervals of a that refine none of those; together they
+    are the minimal intervals, each once. Being an antichain, their union
+    sorts column by column, and sorting two sorted runs is one merge.
+    """
     if a.is_top or b.is_top:
         return TOP
-    # sorting the concatenation of two sorted runs is a single galloping merge
-    return Antichain._trusted(_sweep_minimal(sorted(a.intervals + b.intervals)))
+    b_only = pseudo_difference(b, a)
+    a_kept = pseudo_difference(a, b_only)
+    return Antichain._cols(
+        sorted(a_kept._lefts + b_only._lefts), sorted(a_kept._rights + b_only._rights)
+    )
 
 
 def meet(a: Antichain, b: Antichain) -> Antichain:
@@ -57,29 +68,31 @@ def meet(a: Antichain, b: Antichain) -> Antichain:
         return b
     if b.is_top:
         return a
-    xs, ys = a.intervals, b.intervals
-    i = j = 0
-    nx, ny = len(xs), len(ys)
+    xl, xr, yl, yr = a._lefts, a._rights, b._lefts, b._rights
+    nx, ny = len(xl), len(yl)
     best_x: int | None = None
     best_y: int | None = None
-    out: list[Interval] = []
-    last_left: int | None = None
+    lefts: list[int] = []
+    rights: list[int] = []
+    i = j = 0
     while i < nx or j < ny:
-        rx = xs[i][1] if i < nx else None
-        ry = ys[j][1] if j < ny else None
-        y = rx if ry is None or (rx is not None and rx <= ry) else ry
-        while i < nx and xs[i][1] == y:
-            best_x = xs[i][0]
+        if j == ny or (i < nx and xr[i] <= yr[j]):
+            y = xr[i]
+            best_x = xl[i]
             i += 1
-        while j < ny and ys[j][1] == y:
-            best_y = ys[j][0]
+            if j < ny and yr[j] == y:
+                best_y = yl[j]
+                j += 1
+        else:
+            y = yr[j]
+            best_y = yl[j]
             j += 1
         if best_x is not None and best_y is not None:
             x = best_x if best_x < best_y else best_y
-            if last_left is None or x > last_left:
-                out.append(interval_unchecked(x, y))
-                last_left = x
-    return Antichain._trusted(out)
+            if not lefts or x > lefts[-1]:
+                lefts.append(x)
+                rights.append(y)
+    return Antichain._cols(lefts, rights)
 
 
 def pseudo_difference(a: Antichain, b: Antichain) -> Antichain:
@@ -90,16 +103,18 @@ def pseudo_difference(a: Antichain, b: Antichain) -> Antichain:
         return TOP
     if a.is_bottom or b.is_bottom:
         return a
-    bs = b.intervals
-    nb = len(bs)
+    bl, br = b._lefts, b._rights
+    nb = len(bl)
     j = 0
-    out: list[Interval] = []
-    for iv in a.intervals:
-        while j < nb and bs[j][0] < iv[0]:
+    lefts: list[int] = []
+    rights: list[int] = []
+    for left, right in zip(a._lefts, a._rights):
+        while j < nb and bl[j] < left:
             j += 1
-        if j == nb or bs[j][1] > iv[1]:
-            out.append(iv)
-    return Antichain._trusted(out)
+        if j == nb or br[j] > right:
+            lefts.append(left)
+            rights.append(right)
+    return Antichain._cols(lefts, rights)
 
 
 def symmetric_difference(a: Antichain, b: Antichain) -> Antichain:
@@ -113,20 +128,10 @@ def intersection(a: Antichain, b: Antichain) -> Antichain:
         return TOP
     if a.is_top or b.is_top:
         return BOTTOM
-    xs, ys = a.intervals, b.intervals
-    i = j = 0
-    out: list[Interval] = []
-    while i < len(xs) and j < len(ys):
-        kx, ky = (xs[i].left, xs[i].right), (ys[j].left, ys[j].right)
-        if kx == ky:
-            out.append(xs[i])
-            i += 1
-            j += 1
-        elif kx < ky:
-            i += 1
-        else:
-            j += 1
-    return Antichain._trusted(out)
+    # an antichain holds at most one interval per left extreme
+    right_of = dict(zip(b._lefts, b._rights))
+    keep = list(map(eq, map(right_of.get, a._lefts), a._rights))
+    return Antichain._cols(compress(a._lefts, keep), compress(a._rights, keep))
 
 
 class Containment(str, Enum):
@@ -164,17 +169,19 @@ def filter_containment(a: Antichain, b: Antichain, mode: Containment | str) -> A
     if a.is_top or b.is_top:
         # the empty interval lies inside everything, and nothing lies inside it
         return a if a.is_top == keep_found else BOTTOM
-    bs = b.intervals
-    nb = len(bs)
-    out: list[Interval] = []
+    bl, br = b._lefts, b._rights
+    nb = len(bl)
+    lefts: list[int] = []
+    rights: list[int] = []
     j = -1
-    for iv in a.intervals:
-        while j + 1 < nb and bs[j + 1][0] <= iv[0]:
+    for left, right in zip(a._lefts, a._rights):
+        while j + 1 < nb and bl[j + 1] <= left:
             j += 1
-        found = j >= 0 and bs[j][1] >= iv[1]
+        found = j >= 0 and br[j] >= right
         if found == keep_found:
-            out.append(iv)
-    return Antichain._trusted(out)
+            lefts.append(left)
+            rights.append(right)
+    return Antichain._cols(lefts, rights)
 
 
 def strict_containment(a: Antichain, b: Antichain, mode: StrictContainment | str) -> Antichain:
@@ -200,20 +207,23 @@ def ordered_meet(a: Antichain, b: Antichain) -> Antichain:
         return b
     if b.is_top:
         return a
-    bs = b.intervals
-    nb = len(bs)
+    bl, br = b._lefts, b._rights
+    nb = len(bl)
     j = 0
-    out: list[Interval] = []
-    for iv in a.intervals:
-        while j < nb and bs[j][0] <= iv[1]:
+    lefts: list[int] = []
+    rights: list[int] = []
+    for left, right in zip(a._lefts, a._rights):
+        while j < nb and bl[j] <= right:
             j += 1
         if j == nb:
             break
-        right = bs[j][1]
-        if out and out[-1][1] == right:
-            out.pop()
-        out.append(interval_unchecked(iv[0], right))
-    return Antichain._trusted(out)
+        if rights and rights[-1] == br[j]:
+            # a later left extreme gives a smaller span to the same end
+            lefts[-1] = left
+        else:
+            lefts.append(left)
+            rights.append(br[j])
+    return Antichain._cols(lefts, rights)
 
 
 def block(a: Antichain, b: Antichain) -> Antichain:
@@ -226,19 +236,30 @@ def block(a: Antichain, b: Antichain) -> Antichain:
         return b
     if b.is_top:
         return a
-    bs = b.intervals
-    nb = len(bs)
+    bl, br = b._lefts, b._rights
+    nb = len(bl)
     j = 0
-    out: list[Interval] = []
-    for iv in a.intervals:
-        want = iv[1] + 1
-        while j < nb and bs[j][0] < want:
+    lefts: list[int] = []
+    rights: list[int] = []
+    for left, right in zip(a._lefts, a._rights):
+        want = right + 1
+        while j < nb and bl[j] < want:
             j += 1
         if j == nb:
             break
-        if bs[j][0] == want:
-            out.append(interval_unchecked(iv[0], bs[j][1]))
-    return Antichain._trusted(out)
+        if bl[j] == want:
+            lefts.append(left)
+            rights.append(br[j])
+    return Antichain._cols(lefts, rights)
+
+
+def within(a: Antichain, k: int) -> Antichain:
+    """The intervals of a spanning at most k positions; top, the empty span, stays."""
+    if a.is_top:
+        return a
+    lefts, rights = a._lefts, a._rights
+    keep = [right - left < k for left, right in zip(lefts, rights)]
+    return Antichain._cols(compress(lefts, keep), compress(rights, keep))
 
 
 def rank(a: Antichain, n: int) -> int:
@@ -253,10 +274,11 @@ def rank(a: Antichain, n: int) -> int:
         return 1 + n * (n + 1) // 2
     if a.is_bottom:
         return 0
-    ivs = a.intervals
-    if ivs[0].left < 0 or ivs[-1].right > n - 1:
+    lefts, rights = a._lefts, a._rights
+    if lefts[0] < 0 or rights[-1] > n - 1:
         raise ValueError(f"antichain does not fit in a universe of size {n}")
-    total = (1 + ivs[0].left) * (n - ivs[0].right)
-    for prev, cur in zip(ivs, ivs[1:]):
-        total += (cur.left - prev.left) * (n - cur.right)
+    total, prev = 0, -1
+    for left, right in zip(lefts, rights):
+        total += (left - prev) * (n - right)
+        prev = left
     return total

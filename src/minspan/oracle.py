@@ -1,7 +1,8 @@
-"""Brute-force reference implementations over a bounded universe.
+"""Brute-force reference implementations.
 
 Everything here is computed straight from definitions: lower sets, set
-inclusion, exhaustive scans over all intervals or all lattice elements.
+inclusion, exhaustive scans over all intervals of a bounded universe or all
+lattice elements, and for the retrieval operators every pair of members.
 Deliberately slow and deliberately independent of the closed-form
 operators, so the two can check each other. Shares only the value types
 with the rest of the library.
@@ -9,9 +10,10 @@ with the rest of the library.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .antichain import Antichain, CriticalSet
+from .antichain import TOP, Antichain, CriticalSet
 from .intervals import EMPTY, ExtendedInterval, Interval
 
 __all__ = [
@@ -23,6 +25,10 @@ __all__ = [
     "oracle_residual",
     "oracle_crit",
     "oracle_rank",
+    "oracle_minimal",
+    "oracle_spans",
+    "oracle_filter",
+    "oracle_within",
 ]
 
 
@@ -55,16 +61,6 @@ def oracle_leq(a: Antichain, b: Antichain, n: int) -> bool:
     return downset(a, n).members <= downset(b, n).members
 
 
-def _minimal(intervals: set[Interval]) -> Antichain:
-    keep = [
-        iv
-        for iv in intervals
-        if not any(other != iv and iv.contains(other) for other in intervals)
-    ]
-    keep.sort(key=lambda iv: (iv.left, iv.right))
-    return Antichain(keep)
-
-
 def oracle_bound(a: Antichain, b: Antichain, n: int, kind: str) -> Antichain:
     """Join or meet computed through lower sets: union or intersection, then minimize."""
     if kind not in ("join", "meet"):
@@ -74,8 +70,7 @@ def oracle_bound(a: Antichain, b: Antichain, n: int, kind: str) -> Antichain:
             return Antichain.top()
         return b if a.is_top else a
     da, db = downset(a, n).members, downset(b, n).members
-    pool = set(da | db) if kind == "join" else set(da & db)
-    return _minimal(pool)
+    return oracle_minimal(da | db if kind == "join" else da & db)
 
 
 def oracle_residual(a: Antichain, b: Antichain, n: int, kind: str) -> Antichain:
@@ -132,3 +127,73 @@ def oracle_rank(a: Antichain, n: int) -> int:
     if a.is_top:
         return n * (n + 1) // 2 + 1
     return len(downset(a, n).members)
+
+
+def _members(a: Antichain) -> tuple[Interval | None, ...]:
+    """The members of a; the top element's is the empty interval, None, inside every interval."""
+    return (None,) if a.is_top else a.intervals
+
+
+def _inside(inner: Interval | None, outer: Interval | None) -> bool:
+    return inner is None or (outer is not None and outer.contains(inner))
+
+
+def oracle_minimal(members: Iterable[Interval | None]) -> Antichain:
+    """The inclusion-minimal members of a collection, by comparing every pair."""
+    pool = set(members)
+    if None in pool:
+        return TOP
+    return Antichain(sorted(iv for iv in pool if not any(o != iv and iv.contains(o) for o in pool)))
+
+
+_SPAN_RULES = {
+    "meet": lambda i, j: True,
+    "ordered": lambda i, j: i.right < j.left,
+    "block": lambda i, j: i.right + 1 == j.left,
+}
+
+
+def oracle_spans(a: Antichain, b: Antichain, kind: str) -> Antichain:
+    """Spans of a member of a and a member of b, over every pair.
+
+    ``meet`` spans every pair, ``ordered`` the pairs where a's member ends
+    before b's starts, ``block`` those where b's starts right after a's
+    ends; the empty interval pairs with anything and spans its partner.
+    The minimal spans are kept, except for ``block``: its spans are taken
+    as they are, so a set that is no antichain fails the constructor.
+    """
+    rule = _SPAN_RULES[kind]
+    spans = {
+        j if i is None else i if j is None else Interval(min(i.left, j.left), max(i.right, j.right))
+        for i in _members(a)
+        for j in _members(b)
+        if i is None or j is None or rule(i, j)
+    }
+    if kind == "block" and None not in spans:
+        return Antichain(sorted(spans))
+    return oracle_minimal(spans)
+
+
+_WITNESS_TESTS = {
+    "containing": lambda i, j: _inside(j, i),
+    "contained_in": _inside,
+    "strictly_containing": lambda i, j: _inside(j, i) and i != j,
+}
+
+
+def oracle_filter(a: Antichain, b: Antichain, mode: str) -> Antichain:
+    """The members of a with a witness in b, or with none for the ``not_`` modes.
+
+    ``mode`` is a member or value of ``Containment`` or
+    ``StrictContainment``: i contains j, i lies inside j, or i strictly
+    contains j, for a member i of a and a witness j of b.
+    """
+    mode = getattr(mode, "value", mode)
+    negated = mode.startswith("not_")
+    test = _WITNESS_TESTS[mode.removeprefix("not_")]
+    return oracle_minimal(i for i in _members(a) if any(test(i, j) for j in _members(b)) != negated)
+
+
+def oracle_within(a: Antichain, k: int) -> Antichain:
+    """The members of a spanning at most k positions."""
+    return oracle_minimal(i for i in _members(a) if i is None or i.length <= k)

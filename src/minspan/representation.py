@@ -15,8 +15,12 @@ unbounded universe infinite parts are kept symbolic as rays of a
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import count
+from operator import lt
+
 from .antichain import BOTTOM, Antichain, CriticalSet, GeneralAntichain
-from .intervals import EMPTY, FULL, ExtendedInterval, Interval, Universe, interval_unchecked
+from .intervals import EMPTY, FULL, ExtendedInterval, Universe
 
 __all__ = [
     "complement_singletons",
@@ -30,7 +34,8 @@ __all__ = [
 
 def coatom(n: int) -> Antichain:
     """The antichain of all singletons of {0..n-1}: the unique coatom there."""
-    return Antichain._singletons(list(range(n)))
+    positions = tuple(range(n))
+    return Antichain._cols(positions, positions)
 
 
 def complement_singletons(iv: ExtendedInterval, universe: Universe) -> GeneralAntichain:
@@ -52,7 +57,7 @@ def complement_singletons(iv: ExtendedInterval, universe: Universe) -> GeneralAn
         high = None if iv.right is None else iv.right + 1
         return GeneralAntichain.make(low, BOTTOM, high)
     positions = [x for x in range(n) if not iv.contains_point(x)]
-    return GeneralAntichain.from_antichain(Antichain._singletons(positions))
+    return GeneralAntichain.from_antichain(Antichain._cols(positions, positions))
 
 
 def bracket(low_anchor: int, high_anchor: int) -> Antichain:
@@ -62,9 +67,28 @@ def bracket(low_anchor: int, high_anchor: int) -> Antichain:
     between r and l already straddles both anchors, giving a run of
     singletons. This is the meet of the two ray complements.
     """
-    if low_anchor < high_anchor:
-        return Antichain._trusted((interval_unchecked(low_anchor, high_anchor),))
-    return Antichain._singletons(list(range(high_anchor, low_anchor + 1)))
+    return _brackets((low_anchor,), (high_anchor,))
+
+
+def _brackets(low_anchors: Sequence[int], high_anchors: Sequence[int]) -> Antichain:
+    """The brackets of each anchor pair in turn, as one antichain.
+
+    The pairs must give disjoint brackets in natural order, as the closed
+    forms below do. Where every bracket is a single interval, the anchors
+    are its columns.
+    """
+    if all(map(lt, low_anchors, high_anchors)):
+        return Antichain._cols(low_anchors, high_anchors)
+    lefts: list[int] = []
+    rights: list[int] = []
+    for low, high in zip(low_anchors, high_anchors):
+        if low < high:
+            lefts.append(low)
+            rights.append(high)
+        else:
+            lefts += range(high, low + 1)
+            rights += range(high, low + 1)
+    return Antichain._cols(lefts, rights)
 
 
 def critical_intervals(a: Antichain, universe: Universe) -> CriticalSet:
@@ -82,19 +106,18 @@ def critical_intervals(a: Antichain, universe: Universe) -> CriticalSet:
         return CriticalSet._trusted(())
     if a.is_bottom:
         return CriticalSet._trusted((FULL,))
-    ivs = a.intervals
-    if n is not None and len(ivs) == n:
+    lefts, rights = a._lefts, a._rights
+    if n is not None and len(lefts) == n:
         # n singletons: only the empty interval avoids them all
         return CriticalSet._trusted((EMPTY,))
     out: list[ExtendedInterval] = []
-    first, last = ivs[0], ivs[-1]
-    if n is None or first.right >= 1:
-        out.append(ExtendedInterval.left_ray(first.right - 1))
-    for prev, cur in zip(ivs, ivs[1:]):
-        if prev.left + 1 <= cur.right - 1:
-            out.append(ExtendedInterval.finite(prev.left + 1, cur.right - 1))
-    if n is None or last.left + 1 <= n - 1:
-        out.append(ExtendedInterval.right_ray(last.left + 1))
+    if n is None or rights[0] >= 1:
+        out.append(ExtendedInterval.left_ray(rights[0] - 1))
+    for left, right in zip(lefts, rights[1:]):
+        if left + 1 <= right - 1:
+            out.append(ExtendedInterval.finite(left + 1, right - 1))
+    if n is None or lefts[-1] + 1 <= n - 1:
+        out.append(ExtendedInterval.right_ray(lefts[-1] + 1))
     return CriticalSet._trusted(tuple(out))
 
 
@@ -118,11 +141,9 @@ def meet_of_irreducibles(s: CriticalSet, universe: Universe) -> GeneralAntichain
         return GeneralAntichain.from_antichain(coatom(n))
     low = None if es[0].left is None else es[0].left - 1
     high = None if es[-1].right is None else es[-1].right + 1
-    pieces: list[Interval] = []
-    for prev, cur in zip(es, es[1:]):
-        assert prev.right is not None and cur.left is not None
-        pieces.extend(bracket(cur.left - 1, prev.right + 1).intervals)
-    result = GeneralAntichain.make(low, Antichain._trusted(pieces), high)
+    # the elements between the first and the last are finite
+    pieces = _brackets([cur.left - 1 for cur in es[1:]], [prev.right + 1 for prev in es[:-1]])
+    result = GeneralAntichain.make(low, pieces, high)
     if n is not None:
         return GeneralAntichain.from_antichain(result.materialize(n))
     return result
@@ -145,52 +166,32 @@ def relative_pseudo_complement(
     if b.is_bottom:
         return GeneralAntichain.bottom()
 
-    avs, bvs = a.intervals, b.intervals
+    al, ar, bl, br = a._lefts, a._rights, b._lefts, b._rights
     # a witness below a one-sided ray only constrains one extreme
-    left_cond = avs[0].right <= bvs[0].right - 1
-    right_cond = avs[-1].left >= bvs[-1].left + 1
+    left_cond = ar[0] <= br[0] - 1
+    right_cond = al[-1] >= bl[-1] + 1
 
     gaps: list[int] = []  # indices i with an a-witness inside the (i-1, i) gap of b
     j = 0
-    na = len(avs)
-    prev = bvs[0]
-    i = 0
-    for cur in bvs[1:]:
-        i += 1
-        x = prev[0] + 1
-        y = cur[1] - 1
-        prev = cur
-        if x > y:
+    na = len(al)
+    for i, x, y in zip(count(1), bl, br[1:]):
+        # the gap runs from x + 1 to y - 1
+        if x + 1 >= y:
             continue
-        while j < na and avs[j][0] < x:
+        while j < na and al[j] <= x:
             j += 1
-        if j < na and avs[j][1] <= y:
+        if j < na and ar[j] < y:
             gaps.append(i)
 
-    if not gaps:
-        if left_cond and right_cond:
-            return _wrap(None, bracket(bvs[-1].left, bvs[0].right), None, n)
-        if right_cond:
-            return _wrap(bvs[-1].left, BOTTOM, None, n)
-        if left_cond:
-            return _wrap(None, BOTTOM, bvs[0].right, n)
+    if not (gaps or left_cond or right_cond):
         return GeneralAntichain.top()
-
-    t_min, t_max = gaps[0], gaps[-1]
-    low: int | None = None
-    high: int | None = None
-    pieces: list[Interval] = []
-    if left_cond:
-        pieces.extend(bracket(bvs[t_min - 1].left, bvs[0].right).intervals)
-    else:
-        low = bvs[t_min - 1].left
-    for p, q in zip(gaps, gaps[1:]):
-        pieces.extend(bracket(bvs[q - 1].left, bvs[p].right).intervals)
-    if right_cond:
-        pieces.extend(bracket(bvs[-1].left, bvs[t_max].right).intervals)
-    else:
-        high = bvs[t_max].right
-    return _wrap(low, Antichain._trusted(pieces), high, n)
+    # a bracket between each two consecutive witnessed gaps, and one from the
+    # first gap back to the start of b, or from the last on to its end, where
+    # the conditions allow; otherwise a ray of singletons from there
+    first, last = (gaps[0], gaps[-1]) if gaps else (len(bl), 0)
+    ends = [0] * left_cond + gaps + [len(bl)] * right_cond
+    core = _brackets([bl[q - 1] for q in ends[1:]], [br[p] for p in ends[:-1]])
+    return _wrap(None if left_cond else bl[first - 1], core, None if right_cond else br[last], n)
 
 
 def _wrap(low: int | None, core: Antichain, high: int | None, n: int | None) -> GeneralAntichain:

@@ -1,11 +1,32 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 
 from conftest import ac, antichains, assert_normal, interval_lists
 from minspan.antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
-from minspan.intervals import EMPTY, FULL, ExtendedInterval, Interval
+from minspan.intervals import EMPTY, FULL, UNBOUNDED, ExtendedInterval, Interval
+from minspan.operators import (
+    block,
+    filter_containment,
+    intersection,
+    join,
+    meet,
+    ordered_meet,
+    pseudo_difference,
+    strict_containment,
+    symmetric_difference,
+    within,
+)
+from minspan.representation import (
+    bracket,
+    coatom,
+    critical_intervals,
+    meet_of_irreducibles,
+    relative_pseudo_complement,
+)
 
 
 class TestInterval:
@@ -42,8 +63,10 @@ class TestNormalize:
         for bad in ([3, 1], [2, 2], [0, 4, 4, 7]):
             with pytest.raises(ValueError):
                 Antichain.of_positions(bad)
-        assert Antichain._singletons((0, 4, 7)) == Antichain.of_positions([0, 4, 7])
-        assert assert_normal(Antichain._singletons(list(range(5)))) == Antichain.of_positions(range(5))
+        positions = (0, 4, 7)
+        assert Antichain._cols(positions, positions) == Antichain.of_positions([0, 4, 7])
+        run = tuple(range(5))
+        assert assert_normal(Antichain._cols(run, run)) == Antichain.of_positions(range(5))
 
     @given(interval_lists())
     def test_result_is_minimal_antichain(self, ivs):
@@ -63,6 +86,81 @@ class TestNormalize:
     def test_idempotent(self, ivs):
         once = Antichain.normalize(ivs)
         assert Antichain.normalize(once.intervals) == once
+
+
+MIXED = ((0, 1), (3, 4), (6, 6))
+EXTRA = ((0, 1), (3, 4), (6, 6), (8, 9))
+SINGLES = (1, 4, 6)
+
+
+def construction_paths() -> list:
+    """One value per way of building an antichain, with the pairs it must equal."""
+    ivs = [Interval(*p) for p in MIXED]
+    extra = Antichain(EXTRA)
+    pairs = tuple((p, p) for p in SINGLES)
+    positions = Antichain.of_positions([1, 4])
+    irreducibles = meet_of_irreducibles(critical_intervals(extra, UNBOUNDED), UNBOUNDED)
+    # the brackets between the witnessed gaps of b give a run of singletons
+    b = Antichain([(0, 1), (4, 5), (6, 7), (11, 12)])
+    rpc = relative_pseudo_complement(Antichain([(3, 3), (9, 9)]), b, UNBOUNDED)
+    paths = [
+        ("list", Antichain(ivs), MIXED),
+        ("generator", Antichain(iv for iv in ivs), MIXED),
+        ("plain tuples", Antichain(MIXED), MIXED),
+        ("normalize", Antichain.normalize([(6, 7), (0, 4), *reversed(MIXED), (0, 1), (5, 7)]), MIXED),
+        ("singleton", Antichain.singleton(3, 4), ((3, 4),)),
+        ("of_positions", Antichain.of_positions(iter(SINGLES)), pairs),
+        ("posting wrap", Antichain._cols(SINGLES, SINGLES), pairs),
+        ("join", join(Antichain(MIXED[:1]), Antichain(EXTRA[1:3])), MIXED),
+        ("meet", meet(Antichain(MIXED), Antichain(MIXED)), MIXED),
+        ("pseudo_difference", pseudo_difference(extra, Antichain([(9, 9)])), MIXED),
+        ("symmetric_difference", symmetric_difference(extra, Antichain([(8, 9)])), MIXED),
+        ("intersection", intersection(extra, Antichain(MIXED)), MIXED),
+        ("filter_containment", filter_containment(extra, Antichain([(0, 7)]), "contained_in"), MIXED),
+        ("strict_containment", strict_containment(extra, Antichain([(9, 9)]), "not_strictly_containing"), MIXED),
+        ("ordered_meet", ordered_meet(Antichain.of_positions([0, 3]), positions), MIXED[:2]),
+        ("block", block(Antichain.of_positions([0, 3]), positions), MIXED[:2]),
+        ("within", within(Antichain([(0, 1), (3, 4), (6, 9)]), 2), MIXED[:2]),
+        ("coatom", coatom(3), ((0, 0), (1, 1), (2, 2))),
+        ("bracket", bracket(2, 0), ((0, 0), (1, 1), (2, 2))),
+        ("bracket interval", bracket(1, 4), ((1, 4),)),
+        ("materialize", GeneralAntichain.make(None, BOTTOM, 0).materialize(3), ((0, 0), (1, 1), (2, 2))),
+        ("meet_of_irreducibles", irreducibles.core, EXTRA),
+        ("relative_pseudo_complement", rpc.core, ((5, 5), (6, 6))),
+        ("relative_pseudo_complement bounded", rpc.materialize(13), ((0, 0), (5, 5), (6, 6), (12, 12))),
+    ]
+    return [pytest.param(value, pairs, id=path) for path, value, pairs in paths]
+
+
+class TestConstructionPaths:
+    @pytest.mark.parametrize("value, pairs", construction_paths())
+    def test_equal_and_hash_equal(self, value, pairs):
+        expected = Antichain([Interval(*p) for p in pairs])
+        assert value == expected and hash(value) == hash(expected)
+        ivs = value.intervals
+        assert type(ivs) is tuple and ivs == tuple(map(Interval, *zip(*pairs)))
+        assert all(type(iv) is Interval for iv in ivs)
+        assert ivs == tuple(zip(value._lefts, value._rights))
+        # built afresh: no cached copy is handed out twice
+        assert value.intervals is not ivs
+        assert_normal(value)
+
+    def test_constructor_messages(self):
+        cases = {
+            "empty interval [3..2]": [(0, 1), (3, 2)],
+            "not in normal form: [1..2] before [1..2]": [(1, 2), (1, 2)],
+            "not in normal form: [2..3] before [1..5]": [(2, 3), (1, 5)],
+            "not in normal form: [0..5] before [1..2]": [(0, 5), (1, 2)],
+        }
+        for message, pairs in cases.items():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Antichain(pairs)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Antichain(iter(pairs))
+
+    def test_top_takes_no_intervals(self):
+        with pytest.raises(ValueError, match="top antichain holds no concrete intervals"):
+            Antichain([(1, 2)], top=True)
 
 
 class TestDisplay:

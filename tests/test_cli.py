@@ -51,6 +51,27 @@ class TestIndexAndQuery:
         assert code == 2
         assert capsys.readouterr().err == "minspan: error: unknown document id: 'other'\n"
 
+    def test_doc_matches_filtered_search(self, capsys, tmp_path):
+        # --doc evaluates one document; its output is the line a full search
+        # prints for that id, or nothing when the query has no match there
+        other = tmp_path / "other.txt"
+        other.write_text("porridge hot and porridge cold, some like it hot\n", encoding="utf-8")
+        idx = tmp_path / "idx.jsonl"
+        run_cli(capsys, "index", str(RHYME), str(other), "-o", str(idx))
+        queries = ("hot", "pease AND porridge", "porridge < hot", "porridge ++ hot", "(hot OR cold) WITHIN 1")
+        printed = 0
+        for text in queries:
+            argv = ("query", str(idx), "--q", text, "--score", "--snippets", "2")
+            code, everything = run_cli(capsys, *argv)
+            assert code == 0
+            for doc_id in ("rhyme.txt", "other.txt"):
+                code, out = run_cli(capsys, *argv, "--doc", doc_id)
+                assert code == 0
+                expected = "".join(line for line in everything.splitlines(True) if line.startswith(doc_id + "\t"))
+                assert out == expected, (text, doc_id)
+                printed += bool(out)
+        assert 0 < printed < 2 * len(queries)
+
     def test_index_output_deterministic(self, capsys, tmp_path):
         one, two = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_cli(capsys, "index", str(RHYME), "-o", str(one))

@@ -16,6 +16,7 @@ from minspan.engine import (
     format_score,
     score,
     search,
+    search_document,
     snippets,
 )
 from minspan.indexing import PositionalIndex, build_index
@@ -304,3 +305,16 @@ class TestPruning:
         buf.seek(0)
         assert search(index, text, k) == expected
         assert search(PositionalIndex.load_jsonl(buf), text, k) == expected
+
+    @given(ast=query_asts(), docs=st.lists(documents, min_size=1, max_size=6), k=st.integers(0, 2))
+    def test_search_document_equals_filtered_search(self, ast, docs, k):
+        text = show(ast)
+        index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(docs))
+        results = search(index, text, k)
+        for doc_id in index.doc_ids():
+            assert search_document(index, text, doc_id, k) == [r for r in results if r.doc_id == doc_id]
+
+    def test_search_document_rejects_unknown_id(self):
+        index = build_index([("a", "hot")])
+        with pytest.raises(ValueError, match="unknown document id: 'b'"):
+            search_document(index, "hot", "b")

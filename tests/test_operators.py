@@ -4,10 +4,10 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import SCALING_OPS, ac, antichains, assert_normal, growth_ratios, scaling_cases
 from minspan.antichain import BOTTOM, TOP, Antichain
-from minspan.intervals import Interval
 from minspan.operators import (
     Containment,
     StrictContainment,
@@ -22,7 +22,9 @@ from minspan.operators import (
     rank,
     strict_containment,
     symmetric_difference,
+    within,
 )
+from minspan.oracle import oracle_filter, oracle_minimal, oracle_spans, oracle_within
 
 PEASE = Antichain.of_positions([0, 3, 6, 31, 34])
 PORRIDGE = Antichain.of_positions([1, 4, 7, 32, 35])
@@ -30,28 +32,6 @@ HOT = Antichain.of_positions([2, 17, 33])
 COLD = Antichain.of_positions([5, 21, 36])
 
 PP = ac((0, 1), (1, 3), (3, 4), (4, 6), (6, 7), (7, 31), (31, 32), (32, 34), (34, 35))
-
-
-# definitional re-implementations, used as local oracles for random inputs
-def brute_minimal(ivs: list[Interval]) -> Antichain:
-    keep = sorted(
-        {iv for iv in ivs if not any(o != iv and iv.contains(o) for o in ivs)},
-        key=lambda iv: (iv.left, iv.right),
-    )
-    return Antichain(keep)
-
-
-def brute_leq(a: Antichain, b: Antichain) -> bool:
-    return all(any(i.contains(j) for j in b.intervals) for i in a.intervals)
-
-
-def brute_meet(a: Antichain, b: Antichain) -> Antichain:
-    spans = [
-        Interval(min(i.left, j.left), max(i.right, j.right))
-        for i in a.intervals
-        for j in b.intervals
-    ]
-    return brute_minimal(spans)
 
 
 class TestLeq:
@@ -68,7 +48,8 @@ class TestLeq:
 
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
-        assert leq(a, b) == brute_leq(a, b)
+        # every interval of a contains some interval of b
+        assert leq(a, b) == oracle_filter(a, b, Containment.NOT_CONTAINING).is_bottom
 
 
 class TestJoin:
@@ -87,7 +68,7 @@ class TestJoin:
 
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
-        assert assert_normal(join(a, b)) == brute_minimal(list(a.intervals) + list(b.intervals))
+        assert assert_normal(join(a, b)) == oracle_minimal(a.intervals + b.intervals)
 
 
 class TestMeet:
@@ -108,7 +89,7 @@ class TestMeet:
 
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
-        assert assert_normal(meet(a, b)) == brute_meet(a, b)
+        assert assert_normal(meet(a, b)) == oracle_spans(a, b, "meet")
 
 
 class TestPseudoDifference:
@@ -127,9 +108,7 @@ class TestPseudoDifference:
 
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
-        expected = Antichain(
-            [i for i in a.intervals if not any(i.contains(j) for j in b.intervals)]
-        )
+        expected = oracle_filter(a, b, Containment.NOT_CONTAINING)
         assert assert_normal(pseudo_difference(a, b)) == expected
 
 
@@ -170,15 +149,8 @@ class TestContainmentFilters:
 
     @given(antichains(), antichains())
     def test_matches_definitions(self, a, b):
-        avs, bvs = a.intervals, b.intervals
-        cases = {
-            Containment.CONTAINING: [i for i in avs if any(i.contains(j) for j in bvs)],
-            Containment.NOT_CONTAINING: [i for i in avs if not any(i.contains(j) for j in bvs)],
-            Containment.CONTAINED_IN: [i for i in avs if any(j.contains(i) for j in bvs)],
-            Containment.NOT_CONTAINED_IN: [i for i in avs if not any(j.contains(i) for j in bvs)],
-        }
-        for mode, expected in cases.items():
-            assert assert_normal(filter_containment(a, b, mode)) == Antichain(expected)
+        for mode in Containment:
+            assert assert_normal(filter_containment(a, b, mode)) == oracle_filter(a, b, mode)
 
 
 class TestStrictContainment:
@@ -194,12 +166,8 @@ class TestStrictContainment:
 
     @given(antichains(), antichains())
     def test_matches_direct_strict_scan(self, a, b):
-        avs, bvs = a.intervals, b.intervals
-        loose = [i for i in avs if not any(i.contains(j) and i != j for j in bvs)]
-        strict = [i for i in avs if any(i.contains(j) and i != j for j in bvs)]
-        not_strict = strict_containment(a, b, StrictContainment.NOT_STRICTLY_CONTAINING)
-        assert assert_normal(not_strict) == Antichain(loose)
-        assert assert_normal(strict_containment(a, b, StrictContainment.STRICTLY_CONTAINING)) == Antichain(strict)
+        for mode in StrictContainment:
+            assert assert_normal(strict_containment(a, b, mode)) == oracle_filter(a, b, mode)
 
 
 class TestOrderedMeet:
@@ -216,13 +184,7 @@ class TestOrderedMeet:
 
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
-        spans = [
-            Interval(i.left, j.right)
-            for i in a.intervals
-            for j in b.intervals
-            if i.right < j.left
-        ]
-        assert assert_normal(ordered_meet(a, b)) == brute_minimal(spans)
+        assert assert_normal(ordered_meet(a, b)) == oracle_spans(a, b, "ordered")
 
 
 class TestBlock:
@@ -240,14 +202,17 @@ class TestBlock:
 
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
-        spans = [
-            Interval(i.left, j.right)
-            for i in a.intervals
-            for j in b.intervals
-            if i.right + 1 == j.left
-        ]
-        got = assert_normal(block(a, b))
-        assert set(got.intervals) == set(spans)
+        assert assert_normal(block(a, b)) == oracle_spans(a, b, "block")
+
+
+class TestWithin:
+    def test_window(self):
+        assert within(ac((0, 0), (2, 4), (6, 7)), 2) == ac((0, 0), (6, 7))
+        assert within(TOP, 1) == TOP
+
+    @given(antichains(), st.integers(0, 8))
+    def test_matches_definition(self, a, k):
+        assert assert_normal(within(a, k)) == oracle_within(a, k)
 
 
 class TestGrowthCurve:
