@@ -9,7 +9,7 @@ scoring) built on top.
 """
 
 from .antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
-from .engine import SearchResult, evaluate, format_score, score, search, search_document, snippets
+from .engine import SearchResult, evaluate, format_score, score, search, snippets
 from .enumeration import LevelProfile, cardinality, enumerate_lattice, level_profile, width
 from .indexing import PositionalIndex, build_index, tokenize
 from .intervals import EMPTY, FULL, UNBOUNDED, ExtendedInterval, Interval, Universe
@@ -86,7 +86,6 @@ __all__ = [
     "score",
     "format_score",
     "search",
-    "search_document",
     "SearchResult",
 ]
 

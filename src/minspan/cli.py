@@ -13,7 +13,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from .antichain import Antichain
-from .engine import format_score, search, search_document
+from .engine import _plan, _result, format_score, search
 from .enumeration import cardinality, enumerate_lattice, level_profile, width
 from .indexing import PositionalIndex, build_index
 from .intervals import Universe
@@ -125,8 +125,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
         index = PositionalIndex.load_jsonl(fh)
     if args.doc is None:
         results = search(index, args.query, k=args.snippets)
+    elif args.doc not in index.docs:
+        raise ValueError(f"unknown document id: {args.doc!r}")
     else:
-        results = search_document(index, args.query, args.doc, k=args.snippets)
+        # evaluate, score and snippet that one document alone
+        plan = _plan(args.query, args.snippets)
+        result = _result(plan, args.doc, index.docs[args.doc][1], args.snippets)
+        results = [result] if result else []
     for r in results:
         fields = [r.doc_id]
         if args.score:

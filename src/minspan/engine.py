@@ -33,7 +33,7 @@ from .operators import (
     within,
 )
 
-__all__ = ["evaluate", "snippets", "score", "format_score", "SearchResult", "search", "search_document"]
+__all__ = ["evaluate", "snippets", "score", "format_score", "SearchResult", "search"]
 
 
 def evaluate(ast: q.Query, index: PositionalIndex, doc_id: str) -> Antichain:
@@ -176,14 +176,6 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
     results.sort(key=attrgetter("doc_id"))
     results.sort(key=attrgetter("score"), reverse=True)
     return results
-
-
-def search_document(index: PositionalIndex, query_text: str, doc_id: str, k: int = 0) -> list[SearchResult]:
-    """The results of ``search`` that belong to one document, found by evaluating that document alone."""
-    if doc_id not in index.docs:
-        raise ValueError(f"unknown document id: {doc_id!r}")
-    result = _result(_plan(query_text, k), doc_id, index.docs[doc_id][1], k)
-    return [] if result is None else [result]
 
 
 def _plan(query_text: str, k: int) -> q.Plan:

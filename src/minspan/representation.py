@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import count
-from operator import lt
 
 from .antichain import BOTTOM, Antichain, CriticalSet, GeneralAntichain
 from .intervals import EMPTY, FULL, ExtendedInterval, Universe
@@ -74,11 +73,8 @@ def _brackets(low_anchors: Sequence[int], high_anchors: Sequence[int]) -> Antich
     """The brackets of each anchor pair in turn, as one antichain.
 
     The pairs must give disjoint brackets in natural order, as the closed
-    forms below do. Where every bracket is a single interval, the anchors
-    are its columns.
+    forms below do.
     """
-    if all(map(lt, low_anchors, high_anchors)):
-        return Antichain._cols(low_anchors, high_anchors)
     lefts: list[int] = []
     rights: list[int] = []
     for low, high in zip(low_anchors, high_anchors):

@@ -11,12 +11,13 @@ from conftest import VOCAB, ac, antichains, assert_normal, query_asts, show
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.engine import (
     SearchResult,
+    _plan,
     _required_terms,
+    _result,
     evaluate,
     format_score,
     score,
     search,
-    search_document,
     snippets,
 )
 from minspan.indexing import PositionalIndex, build_index
@@ -307,14 +308,12 @@ class TestPruning:
         assert search(PositionalIndex.load_jsonl(buf), text, k) == expected
 
     @given(ast=query_asts(), docs=st.lists(documents, min_size=1, max_size=6), k=st.integers(0, 2))
-    def test_search_document_equals_filtered_search(self, ast, docs, k):
+    def test_one_document_result_equals_filtered_search(self, ast, docs, k):
+        # the path of `minspan query --doc ID`: one document evaluated alone
         text = show(ast)
         index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(docs))
         results = search(index, text, k)
+        plan = _plan(text, k)
         for doc_id in index.doc_ids():
-            assert search_document(index, text, doc_id, k) == [r for r in results if r.doc_id == doc_id]
-
-    def test_search_document_rejects_unknown_id(self):
-        index = build_index([("a", "hot")])
-        with pytest.raises(ValueError, match="unknown document id: 'b'"):
-            search_document(index, "hot", "b")
+            result = _result(plan, doc_id, index.docs[doc_id][1], k)
+            assert ([result] if result else []) == [r for r in results if r.doc_id == doc_id]
