@@ -10,11 +10,10 @@ so proper interval lists never hold a degenerate member.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, le, lt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .intervals import EMPTY, FULL, ExtendedInterval, Interval
 
@@ -24,7 +23,24 @@ IntervalLike = Interval | tuple[int, int]
 
 
 def _as_interval(v: IntervalLike) -> Interval:
-    return v if isinstance(v, Interval) else Interval(v[0], v[1])
+    try:
+        return v if isinstance(v, Interval) else Interval(v[0], v[1])
+    except (TypeError, LookupError):
+        raise ValueError(f"not an interval: {v!r}") from None
+
+
+def _reject(pairs: tuple[IntervalLike, ...]) -> NoReturn:
+    """Raise the ValueError that names the first member of ``pairs`` out of normal form."""
+    ivs = tuple(map(_as_interval, pairs))
+    for prev, cur in zip(ivs, ivs[1:]):
+        try:
+            ordered = prev[0] < cur[0] and prev[1] < cur[1]
+        except TypeError:
+            ordered = False
+        if not ordered:
+            raise ValueError(f"not in normal form: {prev} before {cur}")
+    # every comparison above held, so some extreme compares false both ways (a NaN)
+    raise ValueError(f"not in normal form: {list(pairs)!r}")
 
 
 class Antichain:
@@ -42,15 +58,15 @@ class Antichain:
         pairs = tuple(intervals)
         if top and pairs:
             raise ValueError("top antichain holds no concrete intervals")
-        lefts, rights = tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
-        # whole-column passes; the loops only name the first bad interval
-        if not all(map(le, lefts, rights)):
-            for pair in pairs:
-                _as_interval(pair)
-        if not (all(map(lt, lefts, lefts[1:])) and all(map(lt, rights, rights[1:]))):
-            for prev, cur in zip(map(_as_interval, pairs), map(_as_interval, pairs[1:])):
-                if cur[0] <= prev[0] or cur[1] <= prev[1]:
-                    raise ValueError(f"not in normal form: {prev} before {cur}")
+        # whole-column passes; _reject only names the first bad member
+        try:
+            lefts, rights = tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
+            increasing = all(map(lt, lefts, lefts[1:])) and all(map(lt, rights, rights[1:]))
+            normal = all(map(le, lefts, rights)) and increasing
+        except (TypeError, LookupError):
+            normal = False
+        if not normal:
+            _reject(pairs)
         self._lefts, self._rights, self._top = lefts, rights, top
 
     # construction ---------------------------------------------------------
@@ -85,7 +101,7 @@ class Antichain:
     @classmethod
     def singleton(cls, left: int, right: int | None = None) -> "Antichain":
         r = left if right is None else right
-        return cls((Interval(left, r),))
+        return cls(((left, r),))
 
     @classmethod
     def of_positions(cls, positions: Iterable[int]) -> "Antichain":
@@ -117,6 +133,11 @@ class Antichain:
         if self._top:
             raise ValueError("top antichain has no concrete intervals")
         return tuple(map(tuple.__new__, repeat(Interval), zip(self._lefts, self._rights)))
+
+    def _check_fits(self, n: int) -> None:
+        """Raise unless every member lies inside {0..n-1}; the columns increase, so O(1)."""
+        if self._lefts and (self._lefts[0] < 0 or self._rights[-1] > n - 1):
+            raise ValueError(f"antichain does not fit in a universe of size {n}")
 
     def __len__(self) -> int:
         if self._top:
@@ -163,9 +184,9 @@ class GeneralAntichain:
     ``low_ray = a`` stands for all singletons [x] with x <= a and
     ``high_ray = b`` for all singletons [x] with x >= b; the finite core sits
     strictly between them. This is the value space of complement-style
-    results over the unbounded universe. Build values through :meth:`make`,
-    which folds ray-adjacent singleton core members into the rays so
-    equality is structural.
+    results over the unbounded universe. A singleton core member next to a
+    ray belongs to that ray, so the constructor rejects it and equality is
+    structural.
     """
 
     low_ray: int | None
@@ -173,41 +194,23 @@ class GeneralAntichain:
     high_ray: int | None
 
     def __post_init__(self) -> None:
+        low, high = self.low_ray, self.high_ray
         if self.core.is_top:
-            if self.low_ray is not None or self.high_ray is not None:
+            if low is not None or high is not None:
                 raise ValueError("top value carries no rays")
             return
         lefts, rights = self.core._lefts, self.core._rights
-        if self.low_ray is not None and lefts and lefts[0] <= self.low_ray:
-            raise ValueError("core overlaps the low ray")
-        if self.high_ray is not None and rights and rights[-1] >= self.high_ray:
-            raise ValueError("core overlaps the high ray")
-        if self.low_ray is not None and self.high_ray is not None and not lefts:
-            # low_ray + 1 == high_ray would denote the set of all singletons,
-            # which has no canonical finite description in this scheme
-            if self.low_ray + 1 >= self.high_ray:
-                raise ValueError("rays may not cover the whole line")
-
-    @classmethod
-    def make(
-        cls,
-        low_ray: int | None = None,
-        core: Antichain = BOTTOM,
-        high_ray: int | None = None,
-    ) -> "GeneralAntichain":
-        if core.is_top:
-            return cls(None, TOP, None)
-        lefts, rights = core._lefts, core._rights
-        start, end = 0, len(lefts)
-        if low_ray is not None:
-            while start < end and lefts[start] == rights[start] == low_ray + 1:
-                low_ray += 1
-                start += 1
-        if high_ray is not None:
-            while start < end and lefts[end - 1] == rights[end - 1] == high_ray - 1:
-                high_ray -= 1
-                end -= 1
-        return cls(low_ray, Antichain._cols(lefts[start:end], rights[start:end]), high_ray)
+        # a member meets a ray when it holds one of the ray's positions or is
+        # the singleton just past it; the core increases, so only its
+        # outermost members can
+        if low is not None and lefts and lefts[0] <= low + (lefts[0] == rights[0]):
+            raise ValueError(f"core member {Interval(lefts[0], rights[0])} overlaps or extends the low ray")
+        if high is not None and rights and rights[-1] >= high - (lefts[-1] == rights[-1]):
+            raise ValueError(f"core member {Interval(lefts[-1], rights[-1])} overlaps or extends the high ray")
+        if low is not None and high is not None and not lefts and low + 1 >= high:
+            # low + 1 == high would denote the set of all singletons, which
+            # has no canonical finite description in this scheme
+            raise ValueError("rays may not cover the whole line")
 
     @classmethod
     def top(cls) -> "GeneralAntichain":
@@ -225,13 +228,9 @@ class GeneralAntichain:
     def is_top(self) -> bool:
         return self.core.is_top
 
-    @property
-    def has_rays(self) -> bool:
-        return self.low_ray is not None or self.high_ray is not None
-
     def to_antichain(self) -> Antichain:
         """The plain antichain value, defined only when no rays are present."""
-        if self.has_rays:
+        if self.low_ray is not None or self.high_ray is not None:
             raise ValueError("value has infinite rays; materialize over a bounded universe")
         return self.core
 
@@ -246,11 +245,8 @@ class GeneralAntichain:
             raise ValueError("universe size must be positive")
         if self.is_top:
             return TOP
+        self.core._check_fits(n)
         lefts, rights = self.core._lefts, self.core._rights
-        if lefts and (lefts[0] < 0 or rights[-1] > n - 1):
-            # lefts below 0 form a prefix, rights above n - 1 a suffix
-            at = 0 if lefts[0] < 0 else bisect_right(rights, n - 1)
-            raise ValueError(f"core interval {Interval(lefts[at], rights[at])} outside universe of size {n}")
         low = range(0 if self.low_ray is None else min(self.low_ray, n - 1) + 1)
         high = range(n if self.high_ray is None else max(self.high_ray, 0), n)
         return Antichain._cols((*low, *lefts, *high), (*low, *rights, *high))
@@ -307,25 +303,6 @@ class CriticalSet:
 
     def __iter__(self) -> Iterator[ExtendedInterval]:
         return iter(self.elements)
-
-    def clamp(self, n: int) -> "CriticalSet":
-        """Replace rays and the full line by their concrete forms inside {0..n-1}."""
-        out: list[ExtendedInterval] = []
-        for e in self.elements:
-            if e.empty:
-                out.append(e)
-                continue
-            iv = e.clamp(n)
-            if iv is None:
-                raise ValueError(f"{e} vanishes inside a universe of size {n}")
-            out.append(ExtendedInterval.finite(iv.left, iv.right))
-        # Clamping moves only extremes beyond 0 or n-1. Both extremes rise
-        # strictly along the set, so they keep doing so, which for intervals
-        # also means incomparable, unless a second element reaches 0 or a
-        # second-to-last one n-1.
-        if len(out) > 1 and (out[1].left == 0 or out[-2].right == n - 1):
-            raise ValueError(f"{self} collapses inside a universe of size {n}")
-        return CriticalSet._trusted(tuple(out))
 
     def __str__(self) -> str:
         return "{" + ", ".join(map(str, self.elements)) + "}"

@@ -28,16 +28,12 @@ class Universe:
     size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.size is not None and self.size < 1:
-            raise ValueError(f"bounded universe needs size >= 1, got {self.size}")
+        if self.size is not None and (type(self.size) is not int or self.size < 1):
+            raise ValueError(f"bounded universe needs an int size >= 1, got {self.size!r}")
 
     @classmethod
     def bounded(cls, n: int) -> "Universe":
         return cls(n)
-
-    @property
-    def is_bounded(self) -> bool:
-        return self.size is not None
 
     def __str__(self) -> str:
         return "Z" if self.size is None else f"{{0..{self.size - 1}}}"
@@ -129,21 +125,6 @@ class ExtendedInterval:
         if self.right is not None and (other.right is None or other.right > self.right):
             return False
         return True
-
-    def contains_point(self, x: int) -> bool:
-        if self.empty:
-            return False
-        return (self.left is None or self.left <= x) and (self.right is None or x <= self.right)
-
-    def clamp(self, n: int) -> Interval | None:
-        """Materialize within {0..n-1}; None if nothing is left."""
-        if self.empty:
-            return None
-        lo = 0 if self.left is None else max(self.left, 0)
-        hi = n - 1 if self.right is None else min(self.right, n - 1)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
 
     def __str__(self) -> str:
         if self.empty:

@@ -15,10 +15,10 @@ unbounded universe infinite parts are kept symbolic as rays of a
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import count
 
-from .antichain import BOTTOM, Antichain, CriticalSet, GeneralAntichain
+from .antichain import Antichain, CriticalSet, GeneralAntichain
 from .intervals import EMPTY, FULL, ExtendedInterval, Universe
 
 __all__ = [
@@ -38,25 +38,13 @@ def coatom(n: int) -> Antichain:
 
 
 def complement_singletons(iv: ExtendedInterval, universe: Universe) -> GeneralAntichain:
-    """The antichain of all singleton positions outside ``iv``.
+    """The antichain of all singleton positions outside ``iv``: the meet over ``{iv}``.
 
     These are exactly the meet-irreducible elements. The complement of the
     empty interval is the set of all singletons, which has no finite
     symbolic form, so it is only available over a bounded universe.
     """
-    n = universe.size
-    if iv.is_full:
-        return GeneralAntichain.bottom()
-    if iv.empty:
-        if n is None:
-            raise ValueError("complement of the empty interval is infinite over Z")
-        return GeneralAntichain.from_antichain(coatom(n))
-    if n is None:
-        low = None if iv.left is None else iv.left - 1
-        high = None if iv.right is None else iv.right + 1
-        return GeneralAntichain.make(low, BOTTOM, high)
-    positions = [x for x in range(n) if not iv.contains_point(x)]
-    return GeneralAntichain.from_antichain(Antichain._cols(positions, positions))
+    return meet_of_irreducibles(CriticalSet._trusted((iv,)), universe)
 
 
 def bracket(low_anchor: int, high_anchor: int) -> Antichain:
@@ -90,31 +78,31 @@ def _brackets(low_anchors: Sequence[int], high_anchors: Sequence[int]) -> Antich
 def critical_intervals(a: Antichain, universe: Universe) -> CriticalSet:
     """The maximal extended intervals containing no member of ``a``.
 
-    Case analysis over the normal form: a left ray ending just before the
-    first member's right extreme, one gap interval per consecutive pair, and
-    a right ray starting just after the last member's left extreme, each
-    skipped when empty in the given universe. Bottom yields the full line;
-    over a bounded universe the coatom yields the empty interval, and the
-    top element has no critical intervals at all.
+    Case analysis over the normal form: one interval from the low edge to
+    just before the first member's right extreme, one gap per consecutive
+    pair, and one from just after the last member's left extreme to the high
+    edge, each skipped when empty. Over Z the edges are rays and bottom
+    yields the full line; over {0..n-1} they are 0 and n-1, and the coatom,
+    which no nonempty interval avoids, yields the empty interval. Top has no
+    critical intervals.
     """
     n = universe.size
     if a.is_top:
         return CriticalSet._trusted(())
-    if a.is_bottom:
-        return CriticalSet._trusted((FULL,))
     lefts, rights = a._lefts, a._rights
-    if n is not None and len(lefts) == n:
-        # n singletons: only the empty interval avoids them all
-        return CriticalSet._trusted((EMPTY,))
-    out: list[ExtendedInterval] = []
-    if n is None or rights[0] >= 1:
-        out.append(ExtendedInterval.left_ray(rights[0] - 1))
-    for left, right in zip(lefts, rights[1:]):
-        if left + 1 <= right - 1:
-            out.append(ExtendedInterval.finite(left + 1, right - 1))
-    if n is None or lefts[-1] + 1 <= n - 1:
-        out.append(ExtendedInterval.right_ray(lefts[-1] + 1))
-    return CriticalSet._trusted(tuple(out))
+    if n is not None:
+        a._check_fits(n)
+        # the singletons [-1] and [n] just outside the universe stand for its edges
+        return CriticalSet._trusted(_gaps(zip((-1, *lefts), (*rights, n))) or (EMPTY,))
+    if not lefts:
+        return CriticalSet._trusted((FULL,))
+    low, high = ExtendedInterval.left_ray(rights[0] - 1), ExtendedInterval.right_ray(lefts[-1] + 1)
+    return CriticalSet._trusted((low, *_gaps(zip(lefts, rights[1:])), high))
+
+
+def _gaps(extremes: Iterable[tuple[int, int]]) -> tuple[ExtendedInterval, ...]:
+    """The nonempty intervals strictly between each (left, right) pair of extremes."""
+    return tuple(ExtendedInterval.finite(x + 1, y - 1) for x, y in extremes if x + 1 < y)
 
 
 def meet_of_irreducibles(s: CriticalSet, universe: Universe) -> GeneralAntichain:
@@ -123,7 +111,9 @@ def meet_of_irreducibles(s: CriticalSet, universe: Universe) -> GeneralAntichain
     Emits one bracket per consecutive pair of ``s`` plus a ray of singletons
     on each side whose neighbouring element of ``s`` has a finite extreme
     there; all pieces are pairwise disjoint and appear in natural order.
-    Inverse of :func:`critical_intervals`.
+    Inverse of :func:`critical_intervals`. Over {0..n-1} a ray and the
+    interval it leaves inside the universe index the same irreducible, so
+    either form is accepted.
     """
     n = universe.size
     es = s.elements
@@ -139,10 +129,7 @@ def meet_of_irreducibles(s: CriticalSet, universe: Universe) -> GeneralAntichain
     high = None if es[-1].right is None else es[-1].right + 1
     # the elements between the first and the last are finite
     pieces = _brackets([cur.left - 1 for cur in es[1:]], [prev.right + 1 for prev in es[:-1]])
-    result = GeneralAntichain.make(low, pieces, high)
-    if n is not None:
-        return GeneralAntichain.from_antichain(result.materialize(n))
-    return result
+    return _wrap(low, pieces, high, n)
 
 
 def relative_pseudo_complement(
@@ -155,6 +142,9 @@ def relative_pseudo_complement(
     in natural order; total time is linear in the operand and output sizes.
     """
     n = universe.size
+    if n is not None:
+        a._check_fits(n)
+        b._check_fits(n)
     if a.is_top:
         return GeneralAntichain.from_antichain(b)
     if b.is_top or a.is_bottom:
@@ -191,7 +181,7 @@ def relative_pseudo_complement(
 
 
 def _wrap(low: int | None, core: Antichain, high: int | None, n: int | None) -> GeneralAntichain:
-    # the pieces of the closed form are never ray-adjacent, so no folding pass
+    """The value over Z, or over {0..n-1} with its rays expanded when n is given."""
     value = GeneralAntichain(low, core, high)
     if n is not None:
         return GeneralAntichain.from_antichain(value.materialize(n))

@@ -7,7 +7,7 @@ from hypothesis import given
 
 from conftest import ac, antichains, assert_normal, interval_lists
 from minspan.antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
-from minspan.intervals import EMPTY, FULL, UNBOUNDED, ExtendedInterval, Interval
+from minspan.intervals import EMPTY, FULL, UNBOUNDED, ExtendedInterval, Interval, Universe
 from minspan.operators import (
     block,
     filter_containment,
@@ -39,6 +39,13 @@ class TestInterval:
         assert not Interval(1, 2).contains(Interval(0, 4))
         assert Interval(2, 4).length == 3
         assert str(Interval(2, 4)) == "[2..4]"
+
+
+class TestUniverse:
+    @pytest.mark.parametrize("size", [0, -3, True, False, "3", 3.0])
+    def test_rejects_bad_sizes(self, size):
+        with pytest.raises(ValueError, match="^bounded universe needs an int size >= 1, got "):
+            Universe(size)
 
 
 class TestNormalize:
@@ -124,7 +131,7 @@ def construction_paths() -> list:
         ("coatom", coatom(3), ((0, 0), (1, 1), (2, 2))),
         ("bracket", bracket(2, 0), ((0, 0), (1, 1), (2, 2))),
         ("bracket interval", bracket(1, 4), ((1, 4),)),
-        ("materialize", GeneralAntichain.make(None, BOTTOM, 0).materialize(3), ((0, 0), (1, 1), (2, 2))),
+        ("materialize", GeneralAntichain(None, BOTTOM, 0).materialize(3), ((0, 0), (1, 1), (2, 2))),
         ("meet_of_irreducibles", irreducibles.core, EXTRA),
         ("relative_pseudo_complement", rpc.core, ((5, 5), (6, 6))),
         ("relative_pseudo_complement bounded", rpc.materialize(13), ((0, 0), (5, 5), (6, 6), (12, 12))),
@@ -158,6 +165,32 @@ class TestConstructionPaths:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Antichain(iter(pairs))
 
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([None], "not an interval: None"),
+            ([(1,)], "not an interval: (1,)"),
+            ([(0, "x")], "not an interval: (0, 'x')"),
+            ([(0, 1), 5], "not an interval: 5"),
+            ([(0, 1), ("a", "b")], "not in normal form: [0..1] before [a..b]"),
+            ([(0, float("nan"))], "not in normal form: [(0, nan)]"),
+        ],
+    )
+    def test_malformed_members_named(self, members, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Antichain(members)
+
+    @pytest.mark.parametrize("members", [[None], [(1,)], [(0, "x")], [(0, 1), (2,)]])
+    def test_normalize_names_malformed_members(self, members):
+        with pytest.raises(ValueError, match="^not an interval: "):
+            Antichain.normalize(members)
+
+    def test_singleton_names_malformed_extremes(self):
+        with pytest.raises(ValueError, match=r"^not an interval: \(0, 'x'\)$"):
+            Antichain.singleton(0, "x")
+        with pytest.raises(ValueError, match=r"^empty interval \[2\.\.1\]$"):
+            Antichain.singleton(2, 1)
+
     def test_top_takes_no_intervals(self):
         with pytest.raises(ValueError, match="top antichain holds no concrete intervals"):
             Antichain([(1, 2)], top=True)
@@ -175,16 +208,27 @@ class TestDisplay:
 
 
 class TestGeneralAntichain:
-    def test_fold_into_rays(self):
-        g = GeneralAntichain.make(1, ac((2, 2), (4, 5)), None)
-        assert g.low_ray == 2
-        assert g.core == Antichain([(4, 5)])
+    def test_singleton_next_to_ray_rejected(self):
+        # [2] belongs to the low ray at 1 and [7] to the high ray at 8, so
+        # each value has a second form; only the folded one is accepted
+        with pytest.raises(ValueError, match=r"^core member \[2\.\.2\] overlaps or extends the low ray$"):
+            GeneralAntichain(1, ac((2, 2), (4, 5)), None)
+        with pytest.raises(ValueError, match=r"^core member \[7\.\.7\] overlaps or extends the high ray$"):
+            GeneralAntichain(None, ac((4, 5), (7, 7)), 8)
+        assert GeneralAntichain(2, ac((4, 5)), None).low_ray == 2
+        # a longer interval next to a ray holds none of its singletons
+        GeneralAntichain(1, ac((2, 3)), 4)
 
     def test_ray_overlap_rejected(self):
         with pytest.raises(ValueError):
             GeneralAntichain(3, ac((2, 2),), None)
         with pytest.raises(ValueError):
             GeneralAntichain(None, ac((2, 2),), 2)
+        # cores that reach into a ray without being singletons
+        with pytest.raises(ValueError, match="low ray"):
+            GeneralAntichain(3, ac((3, 6)), None)
+        with pytest.raises(ValueError, match="high ray"):
+            GeneralAntichain(None, ac((4, 8)), 8)
 
     def test_rays_covering_line_rejected(self):
         with pytest.raises(ValueError):
@@ -193,7 +237,7 @@ class TestGeneralAntichain:
         GeneralAntichain(3, BOTTOM, 5)
 
     def test_materialize_high_ray(self):
-        g = GeneralAntichain.make(None, BOTTOM, 6)
+        g = GeneralAntichain(None, BOTTOM, 6)
         assert g.materialize(9) == ac((6, 6), (7, 7), (8, 8))
 
     def test_materialize_core_only(self):
@@ -202,21 +246,26 @@ class TestGeneralAntichain:
         assert g.materialize(12) == ac((2, 4))
 
     def test_materialize_ray_below_universe(self):
-        g = GeneralAntichain.make(-1, BOTTOM, None)
+        g = GeneralAntichain(-1, BOTTOM, None)
         assert g.materialize(4) == BOTTOM
+
+    def test_materialize_core_outside_universe_rejected(self):
+        for core in (ac((3, 6)), ac((-1, 0)), ac((1, 2), (4, 5))):
+            with pytest.raises(ValueError, match="^antichain does not fit in a universe of size 5$"):
+                GeneralAntichain.from_antichain(core).materialize(5)
 
     def test_materialize_top(self):
         assert GeneralAntichain.top().materialize(3) == TOP
 
     def test_display(self):
-        g = GeneralAntichain.make(1, ac((3, 4),), 6)
+        g = GeneralAntichain(1, ac((3, 4),), 6)
         assert str(g) == "{…[x] for x ≤ 1, [3..4], [x] for x ≥ 6…}"
         assert str(GeneralAntichain.bottom()) == "0"
         assert str(GeneralAntichain.top()) == "{∅}"
 
     def test_to_antichain_requires_no_rays(self):
         with pytest.raises(ValueError):
-            GeneralAntichain.make(0, BOTTOM, None).to_antichain()
+            GeneralAntichain(0, BOTTOM, None).to_antichain()
         assert GeneralAntichain.from_antichain(ac((1, 2),)).to_antichain() == ac((1, 2))
 
     @given(antichains())
@@ -244,26 +293,3 @@ class TestCriticalSet:
             CriticalSet((ExtendedInterval.left_ray(3), ExtendedInterval.finite(1, 2)))
         # overlapping but incomparable pairs are fine
         CriticalSet((ExtendedInterval.finite(0, 5), ExtendedInterval.finite(1, 6)))
-
-    def test_clamp(self):
-        s = CriticalSet(
-            (
-                ExtendedInterval.left_ray(1),
-                ExtendedInterval.finite(3, 4),
-                ExtendedInterval.right_ray(6),
-            )
-        )
-        assert s.clamp(8) == CriticalSet(
-            (
-                ExtendedInterval.finite(0, 1),
-                ExtendedInterval.finite(3, 4),
-                ExtendedInterval.finite(6, 7),
-            )
-        )
-
-    def test_clamp_that_collapses_is_rejected(self):
-        # both sets are valid over Z, but clamping makes two elements comparable
-        with pytest.raises(ValueError):
-            CriticalSet((ExtendedInterval.left_ray(3), ExtendedInterval.finite(0, 5))).clamp(10)
-        with pytest.raises(ValueError):
-            CriticalSet((ExtendedInterval.finite(3, 9), ExtendedInterval.right_ray(5))).clamp(8)

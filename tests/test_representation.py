@@ -8,6 +8,7 @@ from minspan.antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntich
 from minspan.enumeration import enumerate_lattice
 from minspan.intervals import EMPTY, FULL, UNBOUNDED, ExtendedInterval, Universe
 from minspan.operators import leq, meet
+from minspan.oracle import oracle_crit
 from minspan.representation import (
     bracket,
     coatom,
@@ -38,11 +39,17 @@ class TestComplementSingletons:
 
     def test_finite_over_unbounded(self):
         got = complement_singletons(ExtendedInterval.finite(2, 4), UNBOUNDED)
-        assert got == GeneralAntichain.make(1, BOTTOM, 5)
+        assert got == GeneralAntichain(1, BOTTOM, 5)
 
     def test_rays(self):
-        assert complement_singletons(ExtendedInterval.left_ray(3), UNBOUNDED) == GeneralAntichain.make(None, BOTTOM, 4)
-        assert complement_singletons(ExtendedInterval.right_ray(3), UNBOUNDED) == GeneralAntichain.make(2, BOTTOM, None)
+        assert complement_singletons(ExtendedInterval.left_ray(3), UNBOUNDED) == GeneralAntichain(None, BOTTOM, 4)
+        assert complement_singletons(ExtendedInterval.right_ray(3), UNBOUNDED) == GeneralAntichain(2, BOTTOM, None)
+
+    def test_rays_over_bounded(self):
+        got = assert_normal(complement_singletons(ExtendedInterval.left_ray(3), B(6)))
+        assert got.to_antichain() == ac((4, 4), (5, 5))
+        assert complement_singletons(FULL, B(6)) == GeneralAntichain.bottom()
+        assert complement_singletons(ExtendedInterval.finite(0, 5), B(6)) == GeneralAntichain.bottom()
 
 
 class TestBracket:
@@ -76,8 +83,24 @@ class TestCriticalIntervals:
     def test_top_gives_nothing(self):
         assert critical_intervals(TOP, UNBOUNDED) == CriticalSet(())
 
+    def test_bounded_holds_no_rays(self):
+        # over {0..n-1} the edges of the universe take the place of rays
+        assert critical_intervals(BOTTOM, B(4)) == CriticalSet((ExtendedInterval.finite(0, 3),))
+        got = critical_intervals(ac((2, 2), (5, 5)), B(8))
+        assert got == CriticalSet(
+            (
+                ExtendedInterval.finite(0, 1),
+                ExtendedInterval.finite(3, 4),
+                ExtendedInterval.finite(6, 7),
+            )
+        )
+        assert critical_intervals(ac((0, 3)), B(4)) == CriticalSet(
+            (ExtendedInterval.finite(0, 2), ExtendedInterval.finite(1, 3))
+        )
+        assert critical_intervals(TOP, B(4)) == CriticalSet(())
+
     def test_bounded_side_conditions(self):
-        # rays touching the universe edge disappear
+        # intervals that would start past the universe's edge disappear
         got = critical_intervals(ac((0, 0), (3, 3)), B(4))
         assert got == CriticalSet((ExtendedInterval.finite(1, 2),))
         got = critical_intervals(ac((0, 0), (3, 3)), UNBOUNDED)
@@ -88,6 +111,31 @@ class TestCriticalIntervals:
                 ExtendedInterval.right_ray(4),
             )
         )
+
+
+class TestUniverseEdge:
+    """Over {0..n-1} an operand must lie inside the universe, as for rank."""
+
+    OUTSIDE = [ac((7, 9)), ac((-3, -1)), ac((0, 1), (4, 5)), ac((-1, 0), (2, 3))]
+
+    @pytest.mark.parametrize("a", OUTSIDE, ids=str)
+    def test_critical_intervals(self, a):
+        with pytest.raises(ValueError, match="^antichain does not fit in a universe of size 5$"):
+            critical_intervals(a, B(5))
+        critical_intervals(a, UNBOUNDED)
+
+    @pytest.mark.parametrize("a", OUTSIDE, ids=str)
+    @pytest.mark.parametrize("other", [TOP, BOTTOM, ac((1, 2))], ids=str)
+    def test_relative_pseudo_complement(self, a, other):
+        for x, y in ((a, other), (other, a)):
+            with pytest.raises(ValueError, match="^antichain does not fit in a universe of size 5$"):
+                relative_pseudo_complement(x, y, B(5))
+            relative_pseudo_complement(x, y, UNBOUNDED)
+
+    def test_edges_fit(self):
+        a = ac((0, 1), (3, 4))
+        assert critical_intervals(a, B(5)) == oracle_crit(a, 5)
+        assert relative_pseudo_complement(a, a, B(5)).to_antichain() == TOP
 
 
 class TestMeetOfIrreducibles:
@@ -117,13 +165,22 @@ class TestMeetOfIrreducibles:
 
 
 class TestIsomorphism:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_round_trip_bounded(self, n):
         u = B(n)
         for a in enumerate_lattice(n):
             s = critical_intervals(a, u)
+            assert s == oracle_crit(a, n)
             assert assert_normal(meet_of_irreducibles(s, u)).to_antichain() == a
             assert critical_intervals(meet_of_irreducibles(s, u).to_antichain(), u) == s
+
+    def test_ray_form_over_bounded(self):
+        # a ray and the interval it leaves inside {0..n-1} index the same irreducible
+        u = B(8)
+        for a in (ac((2, 2), (5, 5)), ac((0, 0), (7, 7)), ac((1, 3)), BOTTOM):
+            rays = critical_intervals(a, UNBOUNDED)
+            assert meet_of_irreducibles(rays, u) == meet_of_irreducibles(critical_intervals(a, u), u)
+            assert meet_of_irreducibles(rays, u).to_antichain() == a
 
     @given(antichains())
     def test_round_trip_unbounded(self, a):
@@ -169,7 +226,7 @@ class TestRelativePseudoComplement:
 
     def test_ray_result(self):
         got = assert_normal(relative_pseudo_complement(ac((5, 5)), ac((5, 6)), UNBOUNDED))
-        assert got == GeneralAntichain.make(None, BOTTOM, 6)
+        assert got == GeneralAntichain(None, BOTTOM, 6)
 
     def test_run_result(self):
         # the residual of one singleton against an earlier one is every
