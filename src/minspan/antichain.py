@@ -85,9 +85,14 @@ class Antichain:
     @classmethod
     def normalize(cls, intervals: Iterable[IntervalLike]) -> "Antichain":
         """The antichain of inclusion-minimal intervals of an arbitrary collection."""
+        members = list(map(_as_interval, intervals))
+        try:
+            members.sort()
+        except TypeError:
+            raise ValueError(f"intervals do not compare: {', '.join(map(str, members))}") from None
         lefts: list[int] = []
         rights: list[int] = []
-        for left, right in sorted(map(_as_interval, intervals)):
+        for left, right in members:
             if lefts and lefts[-1] == left:
                 # same left, smaller-or-equal right already kept
                 continue

@@ -7,6 +7,7 @@ deterministic for a fixed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from collections.abc import Callable
@@ -56,6 +57,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# built once per process: building it costs about ten times what parsing does
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="minspan", description="Minimal-interval search and lattice tools")
     sub = parser.add_subparsers(dest="command", required=True)

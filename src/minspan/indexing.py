@@ -6,7 +6,7 @@ import json
 import re
 from collections import defaultdict
 from collections.abc import Iterable, Mapping
-from itertools import chain
+from itertools import chain, count
 from operator import ge, itemgetter, lt
 from types import MappingProxyType
 from typing import TextIO
@@ -16,9 +16,18 @@ __all__ = ["tokenize", "PositionalIndex", "build_index"]
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
+def _words(text: str) -> list[str]:
+    """The lowercased alphanumeric runs of text, in order.
+
+    Each run is lowercased on its own: lowercasing the whole text first
+    would split runs, as "İ".lower() adds U+0307, which is no word character.
+    """
+    return list(map(str.lower, _TOKEN.findall(text)))
+
+
 def tokenize(text: str) -> list[tuple[str, int]]:
     """Lowercased alphanumeric runs with consecutive positions from 0."""
-    return [(m.group(0).lower(), i) for i, m in enumerate(_TOKEN.finditer(text))]
+    return list(zip(_words(text), count()))
 
 
 class PositionalIndex:
@@ -68,12 +77,11 @@ class PositionalIndex:
         return self._by_term
 
     def add_document(self, doc_id: str, text: str) -> None:
-        postings: dict[str, list[int]] = {}
-        length = 0
-        for term, pos in tokenize(text):
-            postings.setdefault(term, []).append(pos)
-            length = pos + 1
-        self._store(doc_id, length, {t: tuple(ps) for t, ps in postings.items()})
+        words = _words(text)
+        postings: defaultdict[str, list[int]] = defaultdict(list)
+        for pos, term in enumerate(words):
+            postings[term].append(pos)
+        self._store(doc_id, len(words), {t: tuple(ps) for t, ps in postings.items()})
 
     def doc_ids(self) -> list[str]:
         return list(self._docs)
@@ -92,11 +100,8 @@ class PositionalIndex:
     # one JSON object per line: {"doc":, "length":, "postings": {term: [..]}}
     def dump_jsonl(self, fh: TextIO) -> None:
         for doc_id, (length, postings) in self._docs.items():
-            record = {
-                "doc": doc_id,
-                "length": length,
-                "postings": {t: list(postings[t]) for t in sorted(postings)},
-            }
+            # json writes the posting tuples as arrays
+            record = {"doc": doc_id, "length": length, "postings": dict(sorted(postings.items()))}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
     @classmethod

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from typing import TypeVar
 
-from .indexing import tokenize
+from .indexing import _TOKEN, _words
 from .operators import Containment, StrictContainment
 
 __all__ = [
@@ -240,10 +240,12 @@ _TOKEN_RE = re.compile(
     rf"""\s*(?:
         (?P<quoted>"[^"]*")
       | (?P<op>{"|".join(map(re.escape, _SYMBOLS))})
-      | (?P<word>[^\W_]\w*)
+      | (?P<word>{_TOKEN.pattern})
     )""",
     re.VERBOSE | re.UNICODE,
 )
+# a bare word is a run of the tokenizer, which splits these runs at each "_"
+_WORD_RUN = re.compile(r"\w+")
 
 # each level of parentheses costs the parser two or three stack frames, so a
 # query at the cap needs about 310 of the interpreter's default limit of 1000
@@ -266,7 +268,13 @@ def _lex(q: str) -> list[_Token]:
             stripped = q[pos:].lstrip()
             if not stripped:
                 break
-            raise QuerySyntaxError(f"unexpected character {stripped[0]!r}", len(q) - len(stripped))
+            at = len(q) - len(stripped)
+            message = f"unexpected character {stripped[0]!r}"
+            if stripped[0] == "_":
+                run = next(m.group() for m in _WORD_RUN.finditer(q) if m.end() > at)
+                if _TOKEN.search(run):
+                    message += f": a bare word is letters and digits; quote \"{run}\" to search its parts as a phrase"
+            raise QuerySyntaxError(message, at)
         kind = m.lastgroup
         value = m.group(kind)
         tokens.append(_Token(kind, value[1:-1] if kind == "quoted" else value, m.start(kind)))
@@ -351,7 +359,7 @@ class _Parser:
             self.depth -= 1
             return node
         if token.kind == "quoted":
-            words = [term for term, _ in tokenize(token.value)]
+            words = _words(token.value)
             if not words:
                 raise QuerySyntaxError("empty phrase", token.position)
             return reduce(Block, map(Term, words))

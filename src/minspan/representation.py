@@ -125,8 +125,16 @@ def meet_of_irreducibles(s: CriticalSet, universe: Universe) -> GeneralAntichain
         if n is None:
             raise ValueError("the meet over {∅} is the infinite set of all singletons")
         return GeneralAntichain.from_antichain(coatom(n))
-    low = None if es[0].left is None else es[0].left - 1
-    high = None if es[-1].right is None else es[-1].right + 1
+    first, last = es[0], es[-1]
+    # extremes increase along s, so only the outermost finite ones can leave
+    # the universe; a ray may end just outside it, as over Z
+    if n is not None and (
+        (first.right < -1 if first.left is None else first.left < 0)
+        or (last.left > n if last.right is None else last.right > n - 1)
+    ):
+        raise ValueError(f"antichain does not fit in a universe of size {n}")
+    low = None if first.left is None else first.left - 1
+    high = None if last.right is None else last.right + 1
     # the elements between the first and the last are finite
     pieces = _brackets([cur.left - 1 for cur in es[1:]], [prev.right + 1 for prev in es[:-1]])
     return _wrap(low, pieces, high, n)

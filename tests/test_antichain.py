@@ -185,6 +185,10 @@ class TestConstructionPaths:
         with pytest.raises(ValueError, match="^not an interval: "):
             Antichain.normalize(members)
 
+    def test_normalize_names_incomparable_members(self):
+        with pytest.raises(ValueError, match=r"^intervals do not compare: \[0\.\.1\], \[a\.\.b\]$"):
+            Antichain.normalize([(0, 1), ("a", "b")])
+
     def test_singleton_names_malformed_extremes(self):
         with pytest.raises(ValueError, match=r"^not an interval: \(0, 'x'\)$"):
             Antichain.singleton(0, "x")

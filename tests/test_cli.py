@@ -10,6 +10,8 @@ from conftest import DATA_DIR
 from minspan.cli import main
 
 RHYME = DATA_DIR / "rhyme.txt"
+# a fresh interpreter that imports minspan from this checkout
+_ENV = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"}
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -165,13 +167,40 @@ class TestUsageErrors:
         assert main(["query"]) == 1
 
 
+class TestSharedParser:
+    def test_repeated_calls_match_fresh_processes(self, capsys, tmp_path):
+        # main() reuses one parser per process; no call may leave state behind
+        idx = tmp_path / "idx.jsonl"
+        calls = [
+            ["query"],
+            ["index", str(RHYME), "-o", str(idx)],
+            ["query", str(idx), "--q", "hot", "--doc", "rhyme.txt", "--score"],
+            ["query", str(idx), "--q", "pease AND hot", "--snippets", "2"],
+            ["enum", "--n", "3", "--levels"],
+            ["enum", "--n", "3"],
+        ]
+        shared = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            shared.append((code, captured.out, captured.err, idx.read_bytes() if idx.exists() else None))
+        idx.unlink()
+        fresh = []
+        for argv in calls:
+            result = subprocess.run(
+                [sys.executable, "-m", "minspan.cli", *argv], capture_output=True, text=True, env=_ENV
+            )
+            fresh.append((result.returncode, result.stdout, result.stderr, idx.read_bytes() if idx.exists() else None))
+        assert [s[0] for s in shared] == [1, 0, 0, 0, 0, 0]
+        assert shared == fresh
+
+
 def test_module_entry_point(tmp_path):
-    env_src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-m", "minspan.cli", "enum", "--n", "3", "--count"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(env_src), "PATH": "/usr/bin:/bin"},
+        env=_ENV,
     )
     assert result.returncode == 0
     assert result.stdout == "15\n"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from minspan.antichain import Antichain
 from minspan.engine import search
-from minspan.indexing import PositionalIndex, _parse_record, _positions_ok, build_index, tokenize
+from minspan.indexing import _TOKEN, PositionalIndex, _parse_record, _positions_ok, build_index, tokenize
 
 
 class TestTokenize:
@@ -25,6 +25,52 @@ class TestTokenize:
 
     def test_underscore_splits(self):
         assert tokenize("a_b") == [("a", 0), ("b", 1)]
+
+    def test_each_run_lowercased_alone(self):
+        # "İ".lower() ends in U+0307, no word character: lowering the text
+        # first would split "İstanbul" in two
+        assert tokenize("İstanbul Straße ǅ") == [("i\u0307stanbul", 0), ("straße", 1), ("ǆ", 2)]
+
+
+def _match_tokens(text: str) -> list[tuple[str, int]]:
+    """The tokenizer as one match object per run, the reference for the C-level passes."""
+    return [(m.group(0).lower(), i) for i, m in enumerate(_TOKEN.finditer(text))]
+
+
+_TRICKY = st.sampled_from(["İ", "ß", "ẞ", "ǅ", "Σ", "_", "7", "٣", "²", "\u0301", "\u0307", " ", "-", "A"])
+
+
+class TestWritePath:
+    @settings(max_examples=300)
+    @given(st.text(st.one_of(_TRICKY, st.characters()), max_size=40))
+    def test_tokens_and_postings_match_reference(self, text):
+        tokens = _match_tokens(text)
+        assert tokenize(text) == tokens
+        grouped: dict[str, list[int]] = {}
+        for term, pos in tokens:
+            grouped.setdefault(term, []).append(pos)
+        index = build_index([("d", text)])
+        length, postings = index.docs["d"]
+        assert length == len(tokens)
+        assert list(postings) == list(grouped)
+        assert all(type(ps) is tuple for ps in postings.values())
+        assert {t: list(ps) for t, ps in postings.items()} == grouped
+
+    def test_dump_bytes_match_reference_encoding(self):
+        # terms out of order on file, and not ASCII
+        text = (
+            '{"doc": "b", "length": 4, "postings": {"zeta": [3], "straße": [0, 2], "i\u0307stanbul": [1]}}\n'
+            '{"doc": "a", "length": 2, "postings": {"b": [1], "a": [0]}}\n'
+        )
+        index = PositionalIndex.load_jsonl(io.StringIO(text))
+        expected = "".join(
+            json.dumps({"doc": d, "length": n, "postings": {t: list(p[t]) for t in sorted(p)}}, ensure_ascii=False)
+            + "\n"
+            for d, (n, p) in index.docs.items()
+        )
+        buf = io.StringIO()
+        index.dump_jsonl(buf)
+        assert buf.getvalue() == expected
 
 
 class TestBuildIndex:

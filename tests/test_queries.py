@@ -7,6 +7,8 @@ from hypothesis import given
 
 from conftest import operands, operator, query_asts, show
 from minspan import queries as q
+from minspan.engine import search
+from minspan.indexing import build_index
 from minspan.operators import Containment, StrictContainment
 from minspan.queries import (
     MAX_NESTING,
@@ -99,6 +101,12 @@ SYNTAX_ERRORS = {
     "a WITHIN ٣": ("WITHIN needs an integer window", 9),
     '""': ("empty phrase", 0),
     "a ** b": ("unexpected character '*'", 2),
+    # bare words are the tokenizer's runs, which never hold "_"
+    "a_b": ("unexpected character '_': a bare word is letters and digits; "
+            'quote "a_b" to search its parts as a phrase', 1),
+    "x AND été_2": ("unexpected character '_': a bare word is letters and digits; "
+                    'quote "été_2" to search its parts as a phrase', 9),
+    "_": ("unexpected character '_'", 0),
     "a OR OR b": ("unexpected keyword OR", 5),
 }
 
@@ -111,6 +119,12 @@ class TestErrors:
             parse_query(bad)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
+
+    def test_quoted_underscore_run_matches_its_parts(self):
+        index = build_index([("d", "a_b"), ("e", "b a")])
+        assert [r.doc_id for r in search(index, '"a_b"')] == ["d"]
+        with pytest.raises(QuerySyntaxError):
+            search(index, "a_b")
 
     def test_nesting_past_the_cap_is_a_syntax_error(self):
         assert parse_query("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == Term("a")

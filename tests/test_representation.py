@@ -163,6 +163,44 @@ class TestMeetOfIrreducibles:
     def test_sole_full_is_bottom(self):
         assert meet_of_irreducibles(CriticalSet((FULL,)), UNBOUNDED) == GeneralAntichain.bottom()
 
+    # over {0..4}: a finite extreme lies in 0..4, and a ray may end just outside
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            (ExtendedInterval.finite(7, 9),),
+            (ExtendedInterval.finite(-1, 2),),
+            (ExtendedInterval.finite(3, 5),),
+            (ExtendedInterval.left_ray(-2),),
+            (ExtendedInterval.left_ray(5),),
+            (ExtendedInterval.right_ray(-1),),
+            (ExtendedInterval.right_ray(6),),
+            (ExtendedInterval.finite(0, 1), ExtendedInterval.finite(3, 5)),
+            (ExtendedInterval.left_ray(-2), ExtendedInterval.finite(1, 2)),
+            (ExtendedInterval.finite(-1, 0), ExtendedInterval.right_ray(2)),
+        ],
+    )
+    def test_outside_bounded_universe_rejected(self, elements):
+        with pytest.raises(ValueError, match="^antichain does not fit in a universe of size 5$"):
+            meet_of_irreducibles(CriticalSet(elements), B(5))
+        if len(elements) == 1:
+            with pytest.raises(ValueError, match="^antichain does not fit in a universe of size 5$"):
+                complement_singletons(elements[0], B(5))
+
+    @pytest.mark.parametrize(
+        "iv, singletons",
+        [
+            (ExtendedInterval.finite(0, 4), ()),
+            (ExtendedInterval.left_ray(-1), (0, 1, 2, 3, 4)),
+            (ExtendedInterval.left_ray(4), ()),
+            (ExtendedInterval.right_ray(0), ()),
+            (ExtendedInterval.right_ray(5), (0, 1, 2, 3, 4)),
+            (ExtendedInterval.finite(1, 3), (0, 4)),
+        ],
+    )
+    def test_edges_of_bounded_universe_accepted(self, iv, singletons):
+        got = assert_normal(complement_singletons(iv, B(5)))
+        assert got.to_antichain() == Antichain.of_positions(singletons)
+
 
 class TestIsomorphism:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
