@@ -39,8 +39,17 @@ def _reject(pairs: tuple[IntervalLike, ...]) -> NoReturn:
             ordered = False
         if not ordered:
             raise ValueError(f"not in normal form: {prev} before {cur}")
-    # every comparison above held, so some extreme compares false both ways (a NaN)
+    # every comparison above held, so some extreme is no int or compares false both ways (a NaN)
+    if all(iv[0] <= iv[1] for iv in ivs):
+        _check_ints(ivs)
     raise ValueError(f"not in normal form: {list(pairs)!r}")
+
+
+def _check_ints(ivs: Iterable[Interval]) -> None:
+    """Raise the ValueError that names the first of ``ivs`` with an extreme that is no int."""
+    for iv in ivs:
+        if not (isinstance(iv[0], int) and isinstance(iv[1], int)):
+            raise ValueError(f"interval extremes are not ints: {tuple(iv)!r}")
 
 
 class Antichain:
@@ -62,7 +71,8 @@ class Antichain:
         try:
             lefts, rights = tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
             increasing = all(map(lt, lefts, lefts[1:])) and all(map(lt, rights, rights[1:]))
-            normal = all(map(le, lefts, rights)) and increasing
+            # bools add up to an int, as they pass Interval; floats, Fractions and strs do not
+            normal = all(map(le, lefts, rights)) and increasing and type(sum(lefts) + sum(rights)) is int
         except (TypeError, LookupError):
             normal = False
         if not normal:
@@ -87,12 +97,13 @@ class Antichain:
         """The antichain of inclusion-minimal intervals of an arbitrary collection."""
         members = list(map(_as_interval, intervals))
         try:
-            members.sort()
+            ordered = sorted(members)
         except TypeError:
             raise ValueError(f"intervals do not compare: {', '.join(map(str, members))}") from None
+        _check_ints(members)
         lefts: list[int] = []
         rights: list[int] = []
-        for left, right in members:
+        for left, right in ordered:
             if lefts and lefts[-1] == left:
                 # same left, smaller-or-equal right already kept
                 continue

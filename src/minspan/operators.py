@@ -274,11 +274,9 @@ def rank(a: Antichain, n: int) -> int:
         return 1 + n * (n + 1) // 2
     if a.is_bottom:
         return 0
-    lefts, rights = a._lefts, a._rights
-    if lefts[0] < 0 or rights[-1] > n - 1:
-        raise ValueError(f"antichain does not fit in a universe of size {n}")
+    a._check_fits(n)
     total, prev = 0, -1
-    for left, right in zip(lefts, rights):
+    for left, right in zip(a._lefts, a._rights):
         total += (left - prev) * (n - right)
         prev = left
     return total

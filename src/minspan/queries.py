@@ -1,4 +1,4 @@
-"""Structured query language: AST node types and a precedence-climbing parser.
+"""Structured query language: AST node types and an operator-precedence parser.
 
 Binding strength, tightest first: ``++`` (adjacent blocks), ``<`` (ordered
 before), the containment operators ``>>`` / ``!>>`` / ``<<`` / ``!<<`` and
@@ -7,8 +7,8 @@ their strict forms ``>>>`` / ``!>>>``, ``WITHIN k``, ``AND``, ``MINUS``,
 is sugar for a chain of ``++``.
 
 One table, ``_INFIX``, holds each operator's token, strength and node, and
-one loop parses by precedence climbing. Each level of parentheses costs the
-parser two stack frames, three where it opens an operator's right operand.
+one loop parses with two explicit stacks, one of operands and one of
+pending operators, so nesting depth costs no recursion.
 """
 
 from __future__ import annotations
@@ -233,6 +233,8 @@ _INFIX: dict[str, tuple[int, Callable[..., Query]]] = {
     "++": (7, Block),
 }
 _TIGHTEST = max(strength for strength, _ in _INFIX.values())
+# an open "(" among the pending operators: weaker than each, so building stops there
+_OPEN = (0, None, 0)
 
 # longest symbol first, so that "<<" does not lex as two "<"
 _SYMBOLS = sorted([op for op in _INFIX if not op.isalpha()] + ["(", ")"], key=len, reverse=True)
@@ -246,11 +248,6 @@ _TOKEN_RE = re.compile(
 )
 # a bare word is a run of the tokenizer, which splits these runs at each "_"
 _WORD_RUN = re.compile(r"\w+")
-
-# each level of parentheses costs the parser two or three stack frames, so a
-# query at the cap needs about 310 of the interpreter's default limit of 1000
-MAX_NESTING = 100
-
 
 @dataclass(frozen=True)
 class _Token:
@@ -283,93 +280,86 @@ def _lex(q: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, q: str):
-        self.tokens = _lex(q)
-        self.pos = 0
-        self.depth = 0
+def _window(token: _Token) -> int:
+    # str.isdigit alone would admit superscripts and non-ASCII digits
+    if token.kind != "word" or not (token.value.isascii() and token.value.isdigit()):
+        raise QuerySyntaxError("WITHIN needs an integer window", token.position)
+    try:
+        k = int(token.value)
+    except ValueError:  # more digits than int() converts
+        raise QuerySyntaxError("too many digits in WITHIN", token.position) from None
+    if k < 1:
+        raise QuerySyntaxError("WITHIN needs a positive window", token.position)
+    return k
 
-    def parse(self) -> Query:
-        node = self.parse_expr(0)
-        tail = self.tokens[self.pos]
-        if tail.kind != "end":
-            raise QuerySyntaxError(f"unexpected trailing {tail.value!r}", tail.position)
-        return node
 
-    def parse_expr(self, floor: int) -> Query:
-        """An operand and the operators after it of strength ``floor`` or more.
+def _atom(token: _Token) -> Query:
+    if token.kind == "quoted":
+        words = _words(token.value)
+        if not words:
+            raise QuerySyntaxError("empty phrase", token.position)
+        return reduce(Block, map(Term, words))
+    if token.kind == "word":
+        if token.value in _INFIX:
+            raise QuerySyntaxError(f"unexpected keyword {token.value}", token.position)
+        return Term(token.value.lower())
+    raise QuerySyntaxError("expected a term, phrase or parenthesized query", token.position)
 
-        An operator's right operand holds only stronger operators, so equal
-        strengths associate to the left. After an operator of strength s
-        only operators no stronger than s may follow: that is implied for
-        binary operators, and keeps a stronger one from taking ``WITHIN k``
-        as its left operand. A run of OR, or of AND, makes one node.
-        """
-        node = self.parse_atom()
-        ceiling = _TIGHTEST
-        while rule := self._infix(floor, ceiling):
-            ceiling, build = rule
-            if build is Or or build is And:
-                operands = [node, self.parse_expr(ceiling + 1)]
-                while self._infix(ceiling, ceiling):
-                    operands.append(self.parse_expr(ceiling + 1))
-                node = build(tuple(operands))
-            else:
-                right = self._window() if build is Within else self.parse_expr(ceiling + 1)
-                node = build(node, right)
-        return node
 
-    def _infix(self, floor: int, ceiling: int) -> tuple[int, Callable[..., Query]] | None:
-        """Consume the next token if it is an operator of strength floor..ceiling; its rule."""
-        token = self.tokens[self.pos]
-        rule = None if token.kind == "quoted" else _INFIX.get(token.value)
-        if rule is None or not floor <= rule[0] <= ceiling:
-            return None
-        self.pos += 1
-        return rule
-
-    def _window(self) -> int:
-        token = self.tokens[self.pos]
-        # str.isdigit alone would admit superscripts and non-ASCII digits
-        if token.kind != "word" or not (token.value.isascii() and token.value.isdigit()):
-            raise QuerySyntaxError("WITHIN needs an integer window", token.position)
-        self.pos += 1
-        try:
-            k = int(token.value)
-        except ValueError:  # more digits than int() converts
-            raise QuerySyntaxError("too many digits in WITHIN", token.position) from None
-        if k < 1:
-            raise QuerySyntaxError("WITHIN needs a positive window", token.position)
-        return k
-
-    def parse_atom(self) -> Query:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        if token.kind == "op" and token.value == "(":
-            if self.depth == MAX_NESTING:
-                raise QuerySyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels", token.position
-                )
-            self.depth += 1
-            node = self.parse_expr(0)
-            close = self.tokens[self.pos]
-            if close.kind != "op" or close.value != ")":
-                raise QuerySyntaxError("expected ')'", close.position)
-            self.pos += 1
-            self.depth -= 1
-            return node
-        if token.kind == "quoted":
-            words = _words(token.value)
-            if not words:
-                raise QuerySyntaxError("empty phrase", token.position)
-            return reduce(Block, map(Term, words))
-        if token.kind == "word":
-            if token.value in _INFIX:
-                raise QuerySyntaxError(f"unexpected keyword {token.value}", token.position)
-            return Term(token.value.lower())
-        raise QuerySyntaxError("expected a term, phrase or parenthesized query", token.position)
+def _build(pending: list[tuple[int, Callable[..., Query] | None, int]], operands: list[Query], floor: int) -> None:
+    """Build each pending operator of strength ``floor`` or more, down to the innermost "("."""
+    while pending[-1][0] >= floor:
+        _, node, count = pending.pop()
+        cut = len(operands) - count
+        args = operands[cut:]
+        operands[cut:] = [node(tuple(args)) if node is Or or node is And else node(*args)]
 
 
 def parse_query(q: str) -> Query:
-    """Parse a query string; raises QuerySyntaxError with a position on bad input."""
-    return _Parser(q).parse()
+    """Parse a query string; raises QuerySyntaxError with a position on bad input.
+
+    Operands wait on one stack and operators on another, until an operator
+    no stronger, a ")" or the end builds them, so equal strengths associate
+    to the left; AND and OR extend a pending run of their own instead.
+    ``WITHIN k`` applies at once and lowers the ceiling to its strength, so
+    no stronger operator takes it as its left operand.
+    """
+    tokens = iter(_lex(q))
+    operands: list[Query] = []
+    # operators awaiting operands: (strength, node, operand count); the bottom "(" is the whole query
+    pending: list[tuple[int, Callable[..., Query] | None, int]] = [_OPEN]
+
+    while True:
+        token = next(tokens)
+        if token.kind == "op" and token.value == "(":
+            pending.append(_OPEN)
+            continue
+        operands.append(_atom(token))
+        ceiling = _TIGHTEST
+        # operators and closing parentheses, up to the next operator that wants an operand
+        for token in tokens:
+            rule = None if token.kind == "quoted" else _INFIX.get(token.value)
+            if rule is not None and rule[0] <= ceiling:
+                strength, node = rule
+                run = node is Or or node is And
+                # a run of AND or OR stays pending to take one more operand
+                _build(pending, operands, strength + 1 if run else strength)
+                if node is Within:
+                    operands[-1] = Within(operands[-1], _window(next(tokens)))
+                    ceiling = strength
+                    continue
+                if run and pending[-1][0] == strength:
+                    pending[-1] = (strength, node, pending[-1][2] + 1)
+                else:
+                    pending.append((strength, node, 2))
+                break
+            # a ")", the end or a stray token: build down to the innermost "("
+            _build(pending, operands, 1)
+            if len(pending) == 1:
+                if token.kind != "end":
+                    raise QuerySyntaxError(f"unexpected trailing {token.value!r}", token.position)
+                return operands[0]
+            if token.kind != "op" or token.value != ")":
+                raise QuerySyntaxError("expected ')'", token.position)
+            pending.pop()
+            ceiling = _TIGHTEST

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -188,6 +189,23 @@ class TestConstructionPaths:
     def test_normalize_names_incomparable_members(self):
         with pytest.raises(ValueError, match=r"^intervals do not compare: \[0\.\.1\], \[a\.\.b\]$"):
             Antichain.normalize([(0, 1), ("a", "b")])
+
+    @pytest.mark.parametrize("construct", [Antichain, Antichain.normalize], ids=["init", "normalize"])
+    @pytest.mark.parametrize(
+        "members, named",
+        [
+            ([("a", "b")], "('a', 'b')"),
+            ([(0.5, 1.5)], "(0.5, 1.5)"),
+            ([(Fraction(1), 2)], "(Fraction(1, 1), 2)"),
+            ([(-3, -2), (1.0, 2), (5, 7.5)], "(1.0, 2)"),
+        ],
+        ids=["str", "float", "fraction", "mixed"],
+    )
+    def test_non_int_extremes_named(self, construct, members, named):
+        with pytest.raises(ValueError, match=f"^interval extremes are not ints: {re.escape(named)}$"):
+            construct(members)
+        # bools pass, as they do in Interval
+        assert construct([(False, True)]) == Antichain([(0, 1)])
 
     def test_singleton_names_malformed_extremes(self):
         with pytest.raises(ValueError, match=r"^not an interval: \(0, 'x'\)$"):

@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
 from conftest import operands, operator, query_asts, show
 from minspan import queries as q
-from minspan.engine import search
+from minspan.engine import SearchResult, search
 from minspan.indexing import build_index
+from minspan.intervals import Interval
 from minspan.operators import Containment, StrictContainment
 from minspan.queries import (
-    MAX_NESTING,
     And,
     Block,
     ContainmentOp,
@@ -76,6 +77,19 @@ class TestStructure:
         got = parse_query("a < b < c")
         assert got == OrderedMeet(OrderedMeet(Term("a"), Term("b")), Term("c"))
 
+    def test_parenthesized_run_is_not_flattened(self):
+        got = parse_query("(a AND b) AND c")
+        assert got == And((And((Term("a"), Term("b"))), Term("c")))
+
+    def test_or_runs_around_an_and_run(self):
+        got = parse_query("a OR b AND c OR d")
+        assert got == Or((Term("a"), And((Term("b"), Term("c"))), Term("d")))
+
+    def test_within_applies_to_the_stronger_operator_before_it(self):
+        got = parse_query("x >> a WITHIN 3 AND b")
+        inner = ContainmentOp(Term("x"), Term("a"), Containment.CONTAINING)
+        assert got == And((Within(inner, 3), Term("b")))
+
 
 # each rejected query with its message and position; the first four have
 # the shapes of the benchmark's malformed-query mutations
@@ -108,6 +122,11 @@ SYNTAX_ERRORS = {
                     'quote "été_2" to search its parts as a phrase', 9),
     "_": ("unexpected character '_'", 0),
     "a OR OR b": ("unexpected keyword OR", 5),
+    # WITHIN keeps operators stronger than it from following, however it was reached
+    "x AND a WITHIN 3 >> b": ("unexpected trailing '>>'", 17),
+    "a WITHIN 3 WITHIN 2 ++ c": ("unexpected trailing '++'", 20),
+    "a AND (b OR c))": ("unexpected trailing ')'", 14),
+    "(a OR (b AND c) d)": ("expected ')'", 16),
 }
 
 
@@ -126,20 +145,29 @@ class TestErrors:
         with pytest.raises(QuerySyntaxError):
             search(index, "a_b")
 
-    def test_nesting_past_the_cap_is_a_syntax_error(self):
-        assert parse_query("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == Term("a")
-        with pytest.raises(QuerySyntaxError) as err:
-            parse_query("(" * 3000 + "a" + ")" * 3000)
-        assert err.value.position == MAX_NESTING
+    def test_deep_nesting_parses(self):
+        assert parse_query("(" * 3000 + "a" + ")" * 3000) == Term("a")
 
-    def test_nesting_cap_parses_deep_in_the_stack(self):
+    def test_deep_right_nesting_parses_compares_hashes_prints_and_evaluates(self):
+        text = "a AND (" * 3000 + "b" + ")" * 3000
+        want = Term("b")
+        for _ in range(3000):
+            want = And((Term("a"), want))
+        got = parse_query(text)
+        assert got == want and hash(got) == hash(want)
+        assert got != parse_query(text.replace("b", "c"))
+        assert repr(got) == "And(children=(Term(text='a'), " * 3000 + "Term(text='b')" + "))" * 3000
+        index = build_index([("d", "a b"), ("e", "a a")])
+        assert search(index, text, k=1) == [SearchResult("d", Fraction(1, 2), (Interval(0, 1),))]
+
+    def test_deep_nesting_parses_deep_in_the_stack(self):
         frame, depth = sys._getframe(), 0
         while frame is not None:
             frame, depth = frame.f_back, depth + 1
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 400)
+        sys.setrecursionlimit(depth + 50)
         try:
-            got = parse_query("(" * MAX_NESTING + "a" + ")" * MAX_NESTING)
+            got = parse_query("(" * 3000 + "a" + ")" * 3000)
         finally:
             sys.setrecursionlimit(limit)
         assert got == Term("a")
