@@ -132,8 +132,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown document id: {args.doc!r}")
     else:
         # evaluate, score and snippet that one document alone
-        plan = _plan(args.query, args.snippets)
-        result = _result(plan, args.doc, index.docs[args.doc][1], args.snippets)
+        steps, _ = _plan(args.query, args.snippets)
+        result = _result(steps, args.doc, index.docs[args.doc][1], args.snippets)
         results = [result] if result else []
     for r in results:
         fields = [r.doc_id]

@@ -1,8 +1,9 @@
 """Query evaluation over a positional index, snippets, and scoring.
 
 A term denotes the antichain of its occurrence positions; each query
-operator is interpreted by the corresponding antichain operator, so the
-evaluator is a fold over the AST.
+operator is interpreted by the corresponding antichain operator. A query is
+compiled once into a flat post-order plan, each operator with its mode or
+window bound, and one loop over one value stack runs the plan per document.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import lcm
 from operator import attrgetter, sub
 
@@ -35,66 +36,75 @@ from .operators import (
 
 __all__ = ["evaluate", "snippets", "score", "format_score", "SearchResult", "search"]
 
+# one plan entry per query node, in post-order: the operator and the number
+# of values it takes off the stack, or for a term no operator, 0 and its text
+_Step = tuple[Callable[..., Antichain] | None, int, str | None]
+
 
 def evaluate(ast: q.Query, index: PositionalIndex, doc_id: str) -> Antichain:
     """The antichain of minimal witnesses of ``ast`` inside one document."""
     if doc_id not in index.docs:
         raise KeyError(f"unknown document id: {doc_id!r}")
-    return _eval(q.postorder(ast), index.docs[doc_id][1])
+    return _run(_compile(ast)[0], index.docs[doc_id][1])
 
 
-def _eval(plan: q.Plan, postings: Mapping[str, tuple[int, ...]]) -> Antichain:
-    # the index checked its postings when they entered it and keeps them
-    # read-only; a term's singletons have its postings as both columns
-    return q.fold(plan, lambda t: Antichain._cols(p := postings.get(t.text, ()), p), _apply)
+def _run(steps: list[_Step], postings: Mapping[str, tuple[int, ...]]) -> Antichain:
+    values: list[Antichain] = []
+    for op, arity, text in steps:
+        if arity:
+            values[-arity:] = (op(*values[-arity:]),)
+        else:
+            # the index checked its postings when they entered it and keeps
+            # them read-only; a term's singletons have its postings as both columns
+            p = postings.get(text, ())
+            values.append(Antichain._cols(p, p))
+    return values[0]
 
 
-def _apply(n: q.Query, values: list[Antichain]) -> Antichain:
-    op = _OPERATORS[type(n)]
-    if type(n) in (q.Or, q.And):
-        return reduce(op, values)
-    return op(*values, *tuple(vars(n).values())[len(values) :])
+# the containment modes that keep nothing when their right side is empty
+_EMPTY_WITH_RIGHT = (Containment.CONTAINING, Containment.CONTAINED_IN, StrictContainment.STRICTLY_CONTAINING)
 
 
-def _required_terms(plan: q.Plan) -> frozenset[str]:
-    """Terms that every document with a nonempty result contains.
+def _over_all(op: Callable[[Antichain, Antichain], Antichain], *values: Antichain) -> Antichain:
+    """``op`` folded over the children of an AND or OR with more than two."""
+    return reduce(op, values)
+
+
+def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
+    """The plan of ``ast`` and the terms that every document with a nonempty result contains.
 
     AND, ``<``, ``++``, ``>>``, ``<<`` and ``>>>`` are empty when either side
     is, so they require the union of their sides. MINUS, WITHIN, ``!>>``,
     ``!<<`` and ``!>>>`` keep a subset of their left side, so they require
     what it requires. OR requires only what all of its branches require.
     """
-    return q.fold(plan, lambda t: frozenset((t.text,)), _requires)
-
-
-# the containment modes that keep nothing when their right side is empty
-_EMPTY_WITH_RIGHT = (
-    Containment.CONTAINING,
-    Containment.CONTAINED_IN,
-    StrictContainment.STRICTLY_CONTAINING,
-)
-
-
-def _requires(n: q.Query, values: list[frozenset[str]]) -> frozenset[str]:
-    if type(n) is q.Or:
-        return frozenset.intersection(*values)
-    if type(n) in (q.And, q.OrderedMeet, q.Block) or getattr(n, "mode", None) in _EMPTY_WITH_RIGHT:
-        return frozenset.union(*values)
-    return values[0]
-
-
-# OR and AND fold their children; the other nodes apply their operator to
-# their evaluated operands followed by their mode or window
-_OPERATORS: dict[type, Callable[..., Antichain]] = {
-    q.Or: join,
-    q.And: meet,
-    q.Minus: pseudo_difference,
-    q.OrderedMeet: ordered_meet,
-    q.Block: block,
-    q.ContainmentOp: filter_containment,
-    q.StrictContainmentOp: strict_containment,
-    q.Within: within,
-}
+    steps: list[_Step] = []
+    required: list[frozenset[str]] = []
+    for n, arity in q.postorder(ast):
+        sides = required[len(required) - arity :]
+        text = None
+        match n:
+            case q.Term():
+                op, text, need = None, n.text, frozenset((n.text,))
+            case q.Or():
+                op, need = join if arity == 2 else partial(_over_all, join), frozenset.intersection(*sides)
+            case q.And():
+                op, need = meet if arity == 2 else partial(_over_all, meet), frozenset.union(*sides)
+            case q.OrderedMeet():
+                op, need = ordered_meet, frozenset.union(*sides)
+            case q.Block():
+                op, need = block, frozenset.union(*sides)
+            case q.Minus():
+                op, need = pseudo_difference, sides[0]
+            case q.Within():
+                op, need = partial(within, k=n.k), sides[0]
+            case q.ContainmentOp() | q.StrictContainmentOp():
+                op = filter_containment if type(n) is q.ContainmentOp else strict_containment
+                op = partial(op, mode=n.mode)
+                need = frozenset.union(*sides) if n.mode in _EMPTY_WITH_RIGHT else sides[0]
+        steps.append((op, arity, text))
+        required[len(required) - arity :] = (need,)
+    return steps, required[0]
 
 
 def snippets(a: Antichain, k: int) -> list[Interval]:
@@ -163,29 +173,33 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
     query is evaluated on them, which leaves the results unchanged: only
     the documents holding the rarest required term are visited at all.
     """
-    plan = _plan(query_text, k)
-    required = _required_terms(plan)
+    steps, required = _plan(query_text, k)
     docs = index.docs
-    candidates = min(map(index.doc_ids_with, required), key=len) if required else docs
+    # the shortest of the index's own lists, which search only reads
+    by_term = index._terms()
+    candidates = min((by_term.get(t, ()) for t in required), key=len) if required else docs
     results: list[SearchResult] = []
     for doc_id in candidates:
         postings = docs[doc_id][1]
-        if required <= postings.keys() and (result := _result(plan, doc_id, postings, k)):
+        if required <= postings.keys() and (result := _result(steps, doc_id, postings, k)):
             results.append(result)
-    # two stable sorts: by score, highest first, and ties by document id
+    # two stable sorts: by score, highest first, and ties by document id. The
+    # score key is an exact integer, the score's numerator over the lcm of all
+    # the denominators, so equal scores get equal keys
+    common = lcm(*(r.score.denominator for r in results))
     results.sort(key=attrgetter("doc_id"))
-    results.sort(key=attrgetter("score"), reverse=True)
+    results.sort(key=lambda r: r.score.numerator * (common // r.score.denominator), reverse=True)
     return results
 
 
-def _plan(query_text: str, k: int) -> q.Plan:
+def _plan(query_text: str, k: int) -> tuple[list[_Step], frozenset[str]]:
     if k < 0:
         raise ValueError(f"snippet count k must be nonnegative, got {k}")
-    return q.postorder(q.parse_query(query_text))
+    return _compile(q.parse_query(query_text))
 
 
-def _result(plan: q.Plan, doc_id: str, postings: Mapping[str, tuple[int, ...]], k: int) -> SearchResult | None:
-    value = _eval(plan, postings)
+def _result(steps: list[_Step], doc_id: str, postings: Mapping[str, tuple[int, ...]], k: int) -> SearchResult | None:
+    value = _run(steps, postings)
     if value.is_bottom:
         return None
     return SearchResult(doc_id, score(value), tuple(snippets(value, k)))

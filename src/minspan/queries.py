@@ -17,7 +17,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .indexing import _TOKEN, _words
 from .operators import Containment, StrictContainment
@@ -249,8 +249,8 @@ _TOKEN_RE = re.compile(
 # a bare word is a run of the tokenizer, which splits these runs at each "_"
 _WORD_RUN = re.compile(r"\w+")
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # op | word | quoted | end
     value: str
     position: int

@@ -3,8 +3,10 @@ from __future__ import annotations
 import gc
 import random
 import statistics
+import sys
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,20 @@ settings.register_profile(
 settings.load_profile("suite")
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@contextmanager
+def stack_room(frames: int) -> Iterator[None]:
+    """Lower the recursion limit to the current stack depth plus ``frames``, then restore it."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def ac(*pairs: tuple[int, int]) -> Antichain:

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
 import io
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VOCAB, ac, antichains, assert_normal, query_asts, show
+from conftest import VOCAB, ac, antichains, assert_normal, query_asts, show, stack_room
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.engine import (
     SearchResult,
+    _compile,
     _plan,
-    _required_terms,
     _result,
     evaluate,
     format_score,
@@ -30,7 +32,7 @@ from minspan.operators import (
     ordered_meet,
     pseudo_difference,
 )
-from minspan.queries import parse_query, postorder
+from minspan.queries import parse_query
 from minspan import queries as q
 
 FINAL = ac(
@@ -250,8 +252,45 @@ class TestSearch:
     def test_long_phrase_evaluates_without_recursion(self):
         words = [f"w{i}" for i in range(5000)]
         index = build_index([("long", " ".join(words)), ("short", "w0 w1")])
-        results = search(index, '"' + " ".join(words) + '"', k=1)
+        with stack_room(50):
+            results = search(index, '"' + " ".join(words) + '"', k=1)
         assert results == [SearchResult("long", Fraction(1, 5000), (Interval(0, 4999),))]
+
+    def test_deep_nesting_evaluates_deep_in_the_stack(self):
+        index = build_index([("d", "a b"), ("e", "a a")])
+        with stack_room(50):
+            results = search(index, "a AND (" * 3000 + "b" + ")" * 3000, k=1)
+        assert results == [SearchResult("d", Fraction(1, 2), (Interval(0, 1),))]
+
+
+def span(*lengths):
+    """A text whose ``x AND y`` witnesses have these lengths, left to right."""
+    words, term = ["x"], "y"
+    for length in lengths:
+        words += ["z"] * (length - 2) + [term]
+        term = "x" if term == "y" else "y"
+    return " ".join(words)
+
+
+class TestRanking:
+    def test_equal_scores_from_different_lengths_tie(self):
+        # one witness of length 1 against two of length 2: both score 1
+        index = build_index([("b", "hot"), ("a", span(2, 2)), ("c", "hot " + span(2, 2))])
+        results = search(index, "hot OR (x AND y)", k=0)
+        assert [(r.doc_id, r.score) for r in results] == [("c", 2), ("a", 1), ("b", 1)]
+
+    def test_rank_is_exact_beyond_64_bits(self):
+        # witness lengths are distinct primes, so the lcm of the score
+        # denominators needs more than 64 bits; equal scores recur under
+        # shuffled document ids
+        primes = [p for p in range(23, 100) if all(p % d for d in range(2, p))]
+        texts = [span(p) for p in primes] + [span(p, r) for p, r in zip(primes, primes[1:])]
+        texts += [span(r, p) for p, r in zip(primes, primes[1:])] + [span(2 * p, 2 * p) for p in primes]
+        ids = [f"doc{i:03}" for i in random.Random(5).sample(range(1000), len(texts))]
+        results = search(build_index(zip(ids, texts)), "x AND y", k=0)
+        assert len(results) == len(texts)
+        assert lcm(*(r.score.denominator for r in results)) > 2**64
+        assert results == sorted(results, key=lambda r: (-r.score, r.doc_id))
 
 
 class TestRequiredTerms:
@@ -275,7 +314,7 @@ class TestRequiredTerms:
         ],
     )
     def test_rules(self, text, required):
-        assert _required_terms(postorder(parse_query(text))) == required
+        assert _compile(parse_query(text))[1] == required
 
 
 # each document draws its words from a random subset of the vocabulary, so
@@ -313,7 +352,7 @@ class TestPruning:
         text = show(ast)
         index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(docs))
         results = search(index, text, k)
-        plan = _plan(text, k)
+        steps, _ = _plan(text, k)
         for doc_id in index.doc_ids():
-            result = _result(plan, doc_id, index.docs[doc_id][1], k)
+            result = _result(steps, doc_id, index.docs[doc_id][1], k)
             assert ([result] if result else []) == [r for r in results if r.doc_id == doc_id]

@@ -1,12 +1,11 @@
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from conftest import operands, operator, query_asts, show
+from conftest import operands, operator, query_asts, show, stack_room
 from minspan import queries as q
 from minspan.engine import SearchResult, search
 from minspan.indexing import build_index
@@ -161,15 +160,8 @@ class TestErrors:
         assert search(index, text, k=1) == [SearchResult("d", Fraction(1, 2), (Interval(0, 1),))]
 
     def test_deep_nesting_parses_deep_in_the_stack(self):
-        frame, depth = sys._getframe(), 0
-        while frame is not None:
-            frame, depth = frame.f_back, depth + 1
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 50)
-        try:
+        with stack_room(50):
             got = parse_query("(" * 3000 + "a" + ")" * 3000)
-        finally:
-            sys.setrecursionlimit(limit)
         assert got == Term("a")
 
     def test_overlong_window_is_a_syntax_error(self):
