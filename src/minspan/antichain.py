@@ -290,7 +290,8 @@ class CriticalSet:
     """An antichain of extended intervals under inclusion, in natural order.
 
     Natural order puts a left ray first, then finite intervals by left
-    extreme, then a right ray. The empty or full interval can only occur as
+    extreme, then a right ray; both extremes strictly increase, so no
+    element contains another. The empty or full interval can only occur as
     the sole element.
     """
 
@@ -304,8 +305,6 @@ class CriticalSet:
             kp, kc = _natural_key(prev), _natural_key(cur)
             if not (kp[0] < kc[0] and kp[1] < kc[1]):
                 raise ValueError(f"not in natural order: {prev} before {cur}")
-            if prev.contains(cur) or cur.contains(prev):
-                raise ValueError(f"comparable elements: {prev}, {cur}")
 
     @classmethod
     def _trusted(cls, elements: tuple[ExtendedInterval, ...]) -> "CriticalSet":

@@ -165,6 +165,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError("--n must be positive")
+    if args.samples < 0:
+        raise ValueError("--samples must be nonnegative")
     ops = CHECK_OPS if args.ops == "all" else tuple(args.ops.split(","))
     for op in ops:
         if op not in CHECK_OPS:

@@ -77,23 +77,25 @@ def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
     is, so they require the union of their sides. MINUS, WITHIN, ``!>>``,
     ``!<<`` and ``!>>>`` keep a subset of their left side, so they require
     what it requires. OR requires only what all of its branches require.
+    A union is built in its largest side, so a k-word phrase compiles in
+    near-linear time.
     """
     steps: list[_Step] = []
-    required: list[frozenset[str]] = []
+    required: list[set[str]] = []
     for n, arity in q.postorder(ast):
         sides = required[len(required) - arity :]
         text = None
         match n:
             case q.Term():
-                op, text, need = None, n.text, frozenset((n.text,))
+                op, text, need = None, n.text, {n.text}
             case q.Or():
-                op, need = join if arity == 2 else partial(_over_all, join), frozenset.intersection(*sides)
+                op, need = join if arity == 2 else partial(_over_all, join), set.intersection(*sides)
             case q.And():
-                op, need = meet if arity == 2 else partial(_over_all, meet), frozenset.union(*sides)
+                op, need = meet if arity == 2 else partial(_over_all, meet), _union(sides)
             case q.OrderedMeet():
-                op, need = ordered_meet, frozenset.union(*sides)
+                op, need = ordered_meet, _union(sides)
             case q.Block():
-                op, need = block, frozenset.union(*sides)
+                op, need = block, _union(sides)
             case q.Minus():
                 op, need = pseudo_difference, sides[0]
             case q.Within():
@@ -101,10 +103,17 @@ def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
             case q.ContainmentOp() | q.StrictContainmentOp():
                 op = filter_containment if type(n) is q.ContainmentOp else strict_containment
                 op = partial(op, mode=n.mode)
-                need = frozenset.union(*sides) if n.mode in _EMPTY_WITH_RIGHT else sides[0]
+                need = _union(sides) if n.mode in _EMPTY_WITH_RIGHT else sides[0]
         steps.append((op, arity, text))
         required[len(required) - arity :] = (need,)
-    return steps, required[0]
+    return steps, frozenset(required[0])
+
+
+def _union(sides: list[set[str]]) -> set[str]:
+    """The union of ``sides``, merged into the largest, which no other stack slot holds."""
+    largest = max(sides, key=len)
+    largest.update(*(side for side in sides if side is not largest))
+    return largest
 
 
 def snippets(a: Antichain, k: int) -> list[Interval]:

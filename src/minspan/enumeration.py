@@ -35,7 +35,7 @@ WIDTH_BOUND = 8
 def enumerate_lattice(n: int) -> Iterator[Antichain]:
     """Yield every element of the lattice over {0..n-1}, top last.
 
-    Proper antichains come out in the recursion order of the growing scan:
+    Proper antichains come out in depth-first order of the growing scan:
     each value is emitted before every extension obtained by appending an
     interval [i..j] whose extremes both exceed those of the current last
     member. No duplicates; the stream has cardinality(n) elements.
@@ -48,18 +48,30 @@ def enumerate_lattice(n: int) -> Iterator[Antichain]:
     # most 2**n distinct ones occur; every value shares its columns
     columns: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def grow(lo: int, ro: int) -> Iterator[Antichain]:
-        ls, rs = tuple(lefts), tuple(rights)
-        yield Antichain._cols(columns.setdefault(ls, ls), columns.setdefault(rs, rs))
+    def frame(lo: int, ro: int) -> Iterator[tuple[int, int]]:
+        # each interval [i..j] that may follow the last member, pushed as the new last member
         for i in range(lo, n):
+            lefts.append(i)
             for j in range(max(i, ro), n):
-                lefts.append(i)
                 rights.append(j)
-                yield from grow(i + 1, j + 1)
-                lefts.pop()
+                yield i, j
                 rights.pop()
+            lefts.pop()
 
-    yield from grow(0, 0)
+    # one frame per member and one for the start, on an explicit stack, so
+    # that n costs no recursion
+    frames = [frame(0, 0)]
+    yield Antichain._cols((), ())
+    while frames:
+        for i, j in frames[-1]:
+            ls, rs = tuple(lefts), tuple(rights)
+            yield Antichain._cols(columns.setdefault(ls, ls), columns.setdefault(rs, rs))
+            # nothing follows a member that ends at n - 1
+            if j + 1 < n:
+                frames.append(frame(i + 1, j + 1))
+                break
+        else:
+            frames.pop()
     yield TOP
 
 

@@ -110,10 +110,6 @@ class ExtendedInterval:
     def empty_interval(cls) -> "ExtendedInterval":
         return cls(None, None, empty=True)
 
-    @property
-    def is_full(self) -> bool:
-        return not self.empty and self.left is None and self.right is None
-
     def contains(self, other: "ExtendedInterval") -> bool:
         """Set containment over the extended family."""
         if other.empty:

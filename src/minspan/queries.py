@@ -17,7 +17,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 from .indexing import _TOKEN, _words
 from .operators import Containment, StrictContainment
@@ -37,7 +37,6 @@ __all__ = [
     "parse_query",
     "Plan",
     "postorder",
-    "fold",
 ]
 
 
@@ -64,7 +63,11 @@ class _Node:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return fold(postorder(self), lambda t: _repr_node(t, []), _repr_node)
+        reprs: list[str] = []
+        for n, arity in postorder(self):
+            cut = len(reprs) - arity
+            reprs[cut:] = (_repr_node(n, reprs[cut:]),)
+        return reprs[0]
 
 
 # the dataclass forms of __eq__, __hash__ and __repr__ recurse, so the nodes take _Node's
@@ -181,21 +184,6 @@ def _params(n: Query) -> tuple[object, ...]:
     if type(n) is Or or type(n) is And:
         return ()
     return tuple(v for v in vars(n).values() if not isinstance(v, _Node))
-
-
-_T = TypeVar("_T")
-
-
-def fold(plan: Plan, leaf: Callable[[Term], _T], node: Callable[[Query, list[_T]], _T]) -> _T:
-    """``leaf`` gives each term's value, ``node`` each inner node's from its operands' values."""
-    values: list[_T] = []
-    for n, arity in plan:
-        if arity:
-            cut = len(values) - arity
-            values[cut:] = (node(n, values[cut:]),)
-        else:
-            values.append(leaf(n))
-    return values[0]
 
 
 def _repr_node(n: Query, operands: list[str]) -> str:

@@ -5,8 +5,10 @@ singleton positions outside some extended interval. An antichain's set of
 critical intervals (the maximal extended intervals containing none of its
 members) indexes its unique irredundant meet-representation, and that
 correspondence is an isomorphism: ``meet_of_irreducibles`` inverts
-``critical_intervals``. The same machinery yields a closed form for the
-relative pseudo-complement.
+``critical_intervals``. The representation gives the relative
+pseudo-complement in closed form: a ⇒ b is the meet over the critical
+intervals of b that hold a member of a. Both build their answer with one
+builder, ``_meet``.
 
 Over a bounded universe results are returned fully materialized; over the
 unbounded universe infinite parts are kept symbolic as rays of a
@@ -15,11 +17,10 @@ unbounded universe infinite parts are kept symbolic as rays of a
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from itertools import count
+from collections.abc import Sequence
 
 from .antichain import Antichain, CriticalSet, GeneralAntichain
-from .intervals import EMPTY, FULL, ExtendedInterval, Universe
+from .intervals import EMPTY, ExtendedInterval, Universe
 
 __all__ = [
     "complement_singletons",
@@ -81,63 +82,48 @@ def critical_intervals(a: Antichain, universe: Universe) -> CriticalSet:
     Case analysis over the normal form: one interval from the low edge to
     just before the first member's right extreme, one gap per consecutive
     pair, and one from just after the last member's left extreme to the high
-    edge, each skipped when empty. Over Z the edges are rays and bottom
-    yields the full line; over {0..n-1} they are 0 and n-1, and the coatom,
+    edge, each skipped when empty. Over Z the edges are open, so the first
+    and last intervals are rays and bottom yields the full line; over
+    {0..n-1} they are the singletons -1 and n just outside, and the coatom,
     which no nonempty interval avoids, yields the empty interval. Top has no
     critical intervals.
     """
     n = universe.size
     if a.is_top:
         return CriticalSet._trusted(())
-    lefts, rights = a._lefts, a._rights
     if n is not None:
         a._check_fits(n)
-        # the singletons [-1] and [n] just outside the universe stand for its edges
-        return CriticalSet._trusted(_gaps(zip((-1, *lefts), (*rights, n))) or (EMPTY,))
-    if not lefts:
-        return CriticalSet._trusted((FULL,))
-    low, high = ExtendedInterval.left_ray(rights[0] - 1), ExtendedInterval.right_ray(lefts[-1] + 1)
-    return CriticalSet._trusted((low, *_gaps(zip(lefts, rights[1:])), high))
-
-
-def _gaps(extremes: Iterable[tuple[int, int]]) -> tuple[ExtendedInterval, ...]:
-    """The nonempty intervals strictly between each (left, right) pair of extremes."""
-    return tuple(ExtendedInterval.finite(x + 1, y - 1) for x, y in extremes if x + 1 < y)
+    low, high = (None, None) if n is None else (-1, n)
+    gaps = tuple(
+        ExtendedInterval(None if x is None else x + 1, None if y is None else y - 1)
+        for x, y in zip((low, *a._lefts), (*a._rights, high))
+        if x is None or y is None or x + 1 < y
+    )
+    return CriticalSet._trusted(gaps or (EMPTY,))
 
 
 def meet_of_irreducibles(s: CriticalSet, universe: Universe) -> GeneralAntichain:
     """The meet of the singleton-complements indexed by ``s``.
 
-    Emits one bracket per consecutive pair of ``s`` plus a ray of singletons
-    on each side whose neighbouring element of ``s`` has a finite extreme
-    there; all pieces are pairwise disjoint and appear in natural order.
     Inverse of :func:`critical_intervals`. Over {0..n-1} a ray and the
     interval it leaves inside the universe index the same irreducible, so
     either form is accepted.
     """
     n = universe.size
     es = s.elements
-    if not es:
-        return GeneralAntichain.top()
-    if es[0].is_full:
-        return GeneralAntichain.bottom()
-    if es[0].empty:
+    if es and es[0].empty:
         if n is None:
             raise ValueError("the meet over {∅} is the infinite set of all singletons")
         return GeneralAntichain.from_antichain(coatom(n))
-    first, last = es[0], es[-1]
-    # extremes increase along s, so only the outermost finite ones can leave
-    # the universe; a ray may end just outside it, as over Z
-    if n is not None and (
-        (first.right < -1 if first.left is None else first.left < 0)
-        or (last.left > n if last.right is None else last.right > n - 1)
-    ):
-        raise ValueError(f"antichain does not fit in a universe of size {n}")
-    low = None if first.left is None else first.left - 1
-    high = None if last.right is None else last.right + 1
-    # the elements between the first and the last are finite
-    pieces = _brackets([cur.left - 1 for cur in es[1:]], [prev.right + 1 for prev in es[:-1]])
-    return _wrap(low, pieces, high, n)
+    if n is not None and es:
+        # extremes increase along s, so only the outermost finite ones can
+        # leave the universe; a ray may end just outside it, as over Z
+        first, last = es[0], es[-1]
+        low = first.right if first.left is None else first.left - 1
+        high = last.left if last.right is None else last.right + 1
+        if (low is not None and low < -1) or (high is not None and high > n):
+            raise ValueError(f"antichain does not fit in a universe of size {n}")
+    return _meet([e.left for e in es], [e.right for e in es], n)
 
 
 def relative_pseudo_complement(
@@ -145,9 +131,11 @@ def relative_pseudo_complement(
 ) -> GeneralAntichain:
     """The greatest c with ``a`` meet ``c`` below ``b``.
 
-    Walks the gaps between consecutive members of b once, testing each for a
-    witness of a with a second pointer, then emits the answer piece by piece
-    in natural order; total time is linear in the operand and output sizes.
+    In closed form: the meet over the critical intervals of b that hold a
+    member of a. One pass walks b's low ray, the gaps between its
+    consecutive members and its high ray, testing each for a witness of a
+    with a second pointer; total time is linear in the operand and output
+    sizes.
     """
     n = universe.size
     if n is not None:
@@ -161,36 +149,41 @@ def relative_pseudo_complement(
         return GeneralAntichain.bottom()
 
     al, ar, bl, br = a._lefts, a._rights, b._lefts, b._rights
-    # a witness below a one-sided ray only constrains one extreme
-    left_cond = ar[0] <= br[0] - 1
-    right_cond = al[-1] >= bl[-1] + 1
-
-    gaps: list[int] = []  # indices i with an a-witness inside the (i-1, i) gap of b
+    # the witnessed critical intervals of b, as columns of their extremes;
+    # the rays serve over {0..n-1} too, since _meet expands them there
+    lows: list[int | None] = []
+    highs: list[int | None] = []
+    if ar[0] < br[0]:
+        lows.append(None)
+        highs.append(br[0] - 1)
     j = 0
     na = len(al)
-    for i, x, y in zip(count(1), bl, br[1:]):
-        # the gap runs from x + 1 to y - 1
-        if x + 1 >= y:
-            continue
+    for x, y in zip(bl, br[1:]):
+        # the gap runs from x + 1 to y - 1; an empty one holds no member of a
         while j < na and al[j] <= x:
             j += 1
         if j < na and ar[j] < y:
-            gaps.append(i)
+            lows.append(x + 1)
+            highs.append(y - 1)
+    if al[-1] > bl[-1]:
+        lows.append(bl[-1] + 1)
+        highs.append(None)
+    return _meet(lows, highs, n)
 
-    if not (gaps or left_cond or right_cond):
+
+def _meet(lows: Sequence[int | None], highs: Sequence[int | None], n: int | None) -> GeneralAntichain:
+    """The meet of the singleton-complements of the intervals with these extremes.
+
+    The intervals are nonempty and in natural order, with None at a ray's
+    open end. The answer is a bracket per consecutive pair, and a ray of
+    singletons on each side where the outermost interval ends: no
+    intervals give top, the full line bottom. Over {0..n-1} the rays are
+    expanded into singletons.
+    """
+    if not lows:
         return GeneralAntichain.top()
-    # a bracket between each two consecutive witnessed gaps, and one from the
-    # first gap back to the start of b, or from the last on to its end, where
-    # the conditions allow; otherwise a ray of singletons from there
-    first, last = (gaps[0], gaps[-1]) if gaps else (len(bl), 0)
-    ends = [0] * left_cond + gaps + [len(bl)] * right_cond
-    core = _brackets([bl[q - 1] for q in ends[1:]], [br[p] for p in ends[:-1]])
-    return _wrap(None if left_cond else bl[first - 1], core, None if right_cond else br[last], n)
-
-
-def _wrap(low: int | None, core: Antichain, high: int | None, n: int | None) -> GeneralAntichain:
-    """The value over Z, or over {0..n-1} with its rays expanded when n is given."""
-    value = GeneralAntichain(low, core, high)
-    if n is not None:
-        return GeneralAntichain.from_antichain(value.materialize(n))
-    return value
+    low = None if lows[0] is None else lows[0] - 1
+    high = None if highs[-1] is None else highs[-1] + 1
+    # the intervals between the first and the last are finite
+    value = GeneralAntichain(low, _brackets([x - 1 for x in lows[1:]], [y + 1 for y in highs[:-1]]), high)
+    return value if n is None else GeneralAntichain.from_antichain(value.materialize(n))

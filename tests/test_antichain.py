@@ -4,7 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import ac, antichains, assert_normal, interval_lists
 from minspan.antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
@@ -315,3 +316,37 @@ class TestCriticalSet:
             CriticalSet((ExtendedInterval.left_ray(3), ExtendedInterval.finite(1, 2)))
         # overlapping but incomparable pairs are fine
         CriticalSet((ExtendedInterval.finite(0, 5), ExtendedInterval.finite(1, 6)))
+
+
+@st.composite
+def nested_pairs(draw) -> tuple[ExtendedInterval, ExtendedInterval]:
+    """An extended interval and a distinct one inside it, the empty interval included."""
+    ends = st.none() | st.integers(-20, 20)
+    left, right = draw(ends), draw(ends)
+    if left is not None and right is not None and left > right:
+        left, right = right, left
+    outer = ExtendedInterval(left, right)
+    if draw(st.booleans()):
+        inner = EMPTY
+    else:
+        # each inner extreme lies at or inside the outer one; a ray's open end may close
+        low = draw(st.integers(-30, 30) if left is None else st.integers(left, left + 10))
+        low = None if left is None and draw(st.booleans()) else low
+        high = draw(st.integers(-30, 30) if right is None else st.integers(right - 10, right))
+        high = None if right is None and draw(st.booleans()) else high
+        if low is not None and high is not None and low > high:
+            low, high = high, low
+        inner = ExtendedInterval(low, high)
+    assume(inner != outer and (inner.empty or outer.contains(inner)))
+    return outer, inner
+
+
+@given(nested_pairs())
+def test_critical_set_rejects_nested_members(pair):
+    # strictly increasing extremes, which natural order demands, leave no
+    # member inside another, so no separate containment check is needed
+    outer, inner = pair
+    assert outer.contains(inner)
+    for elements in ((outer, inner), (inner, outer)):
+        with pytest.raises(ValueError):
+            CriticalSet(elements)

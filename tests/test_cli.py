@@ -150,6 +150,11 @@ class TestCheck:
         assert code == 0
         assert out.splitlines()[-1] == "OK"
 
+    @pytest.mark.parametrize("samples", ["-1", "-5"])
+    def test_negative_samples_rejected(self, capsys, samples):
+        assert main(["check", "--n", "3", "--samples", samples]) == 2
+        assert capsys.readouterr().err == "minspan: error: --samples must be nonnegative\n"
+
     def test_unknown_op(self, capsys):
         code, _ = run_cli(capsys, "check", "--n", "3", "--ops", "frobnicate")
         assert code == 2

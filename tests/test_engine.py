@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VOCAB, ac, antichains, assert_normal, query_asts, show, stack_room
+from conftest import VOCAB, ac, antichains, assert_normal, growth_ratios, query_asts, show, stack_room
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.engine import (
     SearchResult,
@@ -315,6 +315,19 @@ class TestRequiredTerms:
     )
     def test_rules(self, text, required):
         assert _compile(parse_query(text))[1] == required
+
+    @pytest.mark.parametrize("template, joiner", [('"{}"', " "), ("{}", " < ")])
+    def test_compile_time_grows_near_linearly(self, template, joiner):
+        # a k-word phrase or k-term "<" chain merges one term at a time into
+        # the required set; 4x the words must cost well under 16x, the
+        # quadratic ratio (median of interleaved gc-off rounds, see
+        # conftest.growth_ratios)
+        sizes = (2500, 10_000)
+        words = {k: [f"w{i}" for i in range(k)] for k in sizes}
+        asts = {k: parse_query(template.format(joiner.join(words[k]))) for k in sizes}
+        assert _compile(asts[sizes[1]])[1] == frozenset(words[sizes[1]])
+        (ratio,) = growth_ratios(lambda k: _compile(asts[k]), sizes)
+        assert ratio < 8, f"compiling 4x the words took {ratio:.1f}x the time"
 
 
 # each document draws its words from a random subset of the vocabulary, so

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
-from conftest import ac, assert_normal
+from conftest import ac, assert_normal, stack_room
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.enumeration import (
     WIDTH_BOUND,
@@ -31,6 +33,20 @@ GOLDEN_N3 = [
 ]
 
 
+def recursive_lattice(n):
+    """The elements in the order of a recursive scan: each value, then every
+    extension by an interval [i..j] whose extremes both exceed its last member's."""
+
+    def grow(members, lo, ro):
+        yield Antichain(members)
+        for i in range(lo, n):
+            for j in range(max(i, ro), n):
+                yield from grow(members + [(i, j)], i + 1, j + 1)
+
+    yield from grow([], 0, 0)
+    yield TOP
+
+
 class TestEnumerate:
     def test_smallest_universes(self):
         assert list(enumerate_lattice(0)) == [BOTTOM, TOP]
@@ -53,6 +69,18 @@ class TestEnumerate:
         assert len(set(seen)) == len(seen)
         for a in seen:
             assert_normal(a)
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_order_matches_recursive_scan(self, n):
+        assert list(enumerate_lattice(n)) == list(recursive_lattice(n))
+
+    def test_large_universe_streams_deep_in_the_stack(self):
+        # the scan is as deep as the universe is wide; it must not recurse
+        with stack_room(50):
+            head = list(islice(enumerate_lattice(3000), 5000))
+        assert len(head) == 5000
+        assert head[2999] == Antichain.of_positions(range(2999))
+        assert len(set(head)) == 5000
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

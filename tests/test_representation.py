@@ -163,6 +163,11 @@ class TestMeetOfIrreducibles:
     def test_sole_full_is_bottom(self):
         assert meet_of_irreducibles(CriticalSet((FULL,)), UNBOUNDED) == GeneralAntichain.bottom()
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_sole_full_over_bounded_is_bottom(self, n):
+        # the full line has no extreme for the universe check to compare
+        assert meet_of_irreducibles(CriticalSet((FULL,)), B(n)) == GeneralAntichain.bottom()
+
     # over {0..4}: a finite extreme lies in 0..4, and a ray may end just outside
     @pytest.mark.parametrize(
         "elements",
@@ -271,6 +276,20 @@ class TestRelativePseudoComplement:
         # singleton at or below it
         got = assert_normal(relative_pseudo_complement(ac((9, 9)), ac((8, 8)), B(10)))
         assert got.to_antichain() == Antichain.of_positions(range(9))
+
+    @pytest.mark.parametrize("n, universe", [(1, B(1)), (2, B(2)), (3, B(3)), (4, B(4)), (5, B(5)), (6, UNBOUNDED)])
+    def test_meet_over_witnessed_critical_intervals(self, n, universe):
+        # the closed form: a => b is the meet over the critical intervals of b
+        # that hold a member of a, here filtered naively; top's one member is
+        # the empty interval, which every interval holds
+        elements = list(enumerate_lattice(n))
+        members = {a: [EMPTY] if a.is_top else [ExtendedInterval(*m) for m in a] for a in elements}
+        for b in elements:
+            crit = critical_intervals(b, universe).elements
+            for a in elements:
+                witnessed = tuple(iv for iv in crit if any(map(iv.contains, members[a])))
+                expected = meet_of_irreducibles(CriticalSet(witnessed), universe)
+                assert relative_pseudo_complement(a, b, universe) == expected, (a, b)
 
     @given(antichains(max_size=5), antichains(max_size=5))
     def test_greatest_property_spotcheck(self, a, b):
