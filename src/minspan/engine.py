@@ -9,7 +9,6 @@ window bound, and one loop over one value stack runs the plan per document.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,18 +119,43 @@ def snippets(a: Antichain, k: int) -> list[Interval]:
     """Greedily pick up to k shortest pairwise disjoint witnesses, left to right.
 
     Candidates are tried shortest first (ties to the left) and accepted when
-    they do not overlap anything accepted so far.
+    they do not overlap anything accepted so far; the pick stops once k are
+    accepted, and k = 0 sorts nothing.
     """
     if a.is_top:
         raise ValueError("the top element has no snippet intervals")
+    return _snippets(a, _lengths(a), k)
+
+
+def score(a: Antichain) -> Fraction:
+    """Sum of inverse witness lengths, as an exact rational.
+
+    The inverse lengths are summed over the least common multiple of the
+    distinct lengths in integers, so one Fraction is made.
+    """
+    if a.is_top:
+        raise ValueError("the top element is not scoreable")
+    return _score(_lengths(a))
+
+
+def _lengths(a: Antichain) -> list[int]:
+    """The length of each witness of ``a``, in left order."""
+    return list(map(sub, a._rights, map((-1).__add__, a._lefts)))
+
+
+def _score(lengths: list[int]) -> Fraction:
+    common = lcm(*set(lengths))
+    return Fraction(sum(map(common.__floordiv__, lengths)), common)
+
+
+def _snippets(a: Antichain, lengths: list[int], k: int) -> list[Interval]:
+    if k < 1:
+        return []
     lefts, rights = a._lefts, a._rights
-    widths = list(map(sub, rights, lefts))
     kept_lefts: list[int] = []
     kept_rights: list[int] = []
     # the intervals are in left order and the sort is stable, so ties stay left first
-    for i in sorted(range(len(widths)), key=widths.__getitem__):
-        if len(kept_lefts) >= k:
-            break
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
         left, right = lefts[i], rights[i]
         at = bisect_left(kept_lefts, left)
         if at < len(kept_lefts) and kept_lefts[at] <= right:
@@ -140,31 +164,21 @@ def snippets(a: Antichain, k: int) -> list[Interval]:
             continue
         kept_lefts.insert(at, left)
         kept_rights.insert(at, right)
-    return list(map(Interval, kept_lefts, kept_rights))
-
-
-def score(a: Antichain) -> Fraction:
-    """Sum of inverse witness lengths, as an exact rational.
-
-    Witnesses are counted by length and the counts summed over the least
-    common multiple of the lengths in integers, so one Fraction is made.
-    """
-    if a.is_top:
-        raise ValueError("the top element is not scoreable")
-    counts = Counter(map(sub, a._rights, a._lefts))
-    common = lcm(*(w + 1 for w in counts))
-    return Fraction(sum(c * (common // (w + 1)) for w, c in counts.items()), common)
+        if len(kept_lefts) == k:
+            break
+    return list(map(Interval._make, zip(kept_lefts, kept_rights)))
 
 
 def format_score(value: Fraction, places: int = 4) -> str:
     """Exact decimal rendering with round-half-to-even, no float in sight."""
+    if places < 0:
+        raise ValueError(f"decimal places must be nonnegative, got {places}")
     scale = 10**places
-    whole, remainder = divmod(value.numerator * scale, value.denominator)
-    double = 2 * remainder
-    if double > value.denominator or (double == value.denominator and whole % 2 == 1):
-        whole += 1
-    digits = str(whole).rjust(places + 1, "0")
-    return f"{digits[:-places]}.{digits[-places:]}"
+    # Fraction rounds half to even, exactly
+    scaled = round(value * scale)
+    whole, fraction = divmod(abs(scaled), scale)
+    sign = "-" if scaled < 0 else ""
+    return f"{sign}{whole}.{fraction:0{places}d}" if places else f"{sign}{whole}"
 
 
 @dataclass(frozen=True)
@@ -211,4 +225,5 @@ def _result(steps: list[_Step], doc_id: str, postings: Mapping[str, tuple[int, .
     value = _run(steps, postings)
     if value.is_bottom:
         return None
-    return SearchResult(doc_id, score(value), tuple(snippets(value, k)))
+    lengths = _lengths(value)
+    return SearchResult(doc_id, _score(lengths), tuple(_snippets(value, lengths, k)))

@@ -1,8 +1,9 @@
 """Exhaustive generation and combinatorial analysis of the finite lattices.
 
 The lattice over {0..n-1} has C(n+1) + 1 elements (Catalan plus one for the
-top). The generator lists them in constant amortized time per element by
-growing antichains left to right; rank histograms and the exact poset width
+top). The generator lists them by growing antichains left to right, in
+time linear in each element's member count, since each element copies both
+columns of the scan; rank histograms and the exact poset width
 (maximum antichain of the lattice itself, via minimum chain cover and
 bipartite matching) are built on top of the stream.
 """

@@ -61,37 +61,57 @@ def join(a: Antichain, b: Antichain) -> Antichain:
 def meet(a: Antichain, b: Antichain) -> Antichain:
     """Greatest lower bound: minimal spans of one interval from each side.
 
-    Sweeps the merged right extremes; at each event the best span ends there
-    and starts at the smaller of the two latest left extremes seen.
+    One sweep over the intervals of a in order of right extreme. Before each
+    one, the intervals of b that end strictly earlier are consumed, then one
+    that ends at the same place. At each right extreme the best span ends
+    there and starts at the smaller of the latest left extremes seen on each
+    side; it is kept when it starts after the last span kept. Once a is
+    done, each later interval of b that starts before a's last left extreme
+    adds its own span, and the first that does not adds at most one more.
     """
     if a.is_top:
         return b
     if b.is_top:
         return a
-    xl, xr, yl, yr = a._lefts, a._rights, b._lefts, b._rights
-    nx, ny = len(xl), len(yl)
-    best_x: int | None = None
-    best_y: int | None = None
+    xl, yl, yr = a._lefts, b._lefts, b._rights
+    if not xl or not yl:
+        return BOTTOM
+    ny = len(yl)
+    # below every left extreme: until both sides have shown an interval, each
+    # span starts at or before `last` and is not kept
+    last = best_x = best_y = (xl[0] if xl[0] < yl[0] else yl[0]) - 1
     lefts: list[int] = []
     rights: list[int] = []
-    i = j = 0
-    while i < nx or j < ny:
-        if j == ny or (i < nx and xr[i] <= yr[j]):
-            y = xr[i]
-            best_x = xl[i]
-            i += 1
-            if j < ny and yr[j] == y:
-                best_y = yl[j]
-                j += 1
-        else:
-            y = yr[j]
+    j = 0
+    for left, right in zip(xl, a._rights):
+        while j < ny and yr[j] < right:
+            best_y = yl[j]
+            x = best_x if best_x < best_y else best_y
+            if x > last:
+                lefts.append(x)
+                rights.append(yr[j])
+                last = x
+            j += 1
+        if j < ny and yr[j] == right:
             best_y = yl[j]
             j += 1
-        if best_x is not None and best_y is not None:
-            x = best_x if best_x < best_y else best_y
-            if not lefts or x > lefts[-1]:
-                lefts.append(x)
-                rights.append(y)
+        best_x = left
+        x = left if left < best_y else best_y
+        if x > last:
+            lefts.append(x)
+            rights.append(right)
+            last = x
+    # every span kept so far starts at or before b's latest left extreme, so
+    # b's later intervals that start before best_x are each kept as they are
+    while j < ny:
+        if yl[j] >= best_x:
+            if best_x > last:
+                lefts.append(best_x)
+                rights.append(yr[j])
+            break
+        lefts.append(yl[j])
+        rights.append(yr[j])
+        j += 1
     return Antichain._cols(lefts, rights)
 
 

@@ -210,6 +210,24 @@ class TestScore:
         # round-half-to-even at the last place
         assert format_score(Fraction(25, 100000), 4) == "0.0002"
         assert format_score(Fraction(35, 100000), 4) == "0.0004"
+        # no point at 0 places, the sign apart from the digits
+        assert format_score(Fraction(7, 2), 0) == "4"
+        assert format_score(Fraction(177, 50), 0) == "4"
+        assert format_score(Fraction(5, 2), 0) == "2"
+        assert format_score(Fraction(-1, 3)) == "-0.3333"
+        assert format_score(Fraction(-1, 100000)) == "0.0000"
+        with pytest.raises(ValueError, match="nonnegative"):
+            format_score(Fraction(1), -1)
+
+    @given(value=st.fractions(), places=st.integers(0, 8))
+    def test_format_matches_round_and_divmod(self, value, places):
+        scaled = round(value * 10**places)
+        whole, fraction = divmod(abs(scaled), 10**places)
+        digits = f"{whole}.{str(fraction).zfill(places)}" if places else str(whole)
+        got = format_score(value, places)
+        assert got == ("-" if scaled < 0 else "") + digits
+        # the text reads back as the value rounded to the nearest place
+        assert abs(Fraction(got) - value) <= Fraction(1, 2 * 10**places)
 
 
 class TestSearch:
@@ -369,3 +387,15 @@ class TestPruning:
         for doc_id in index.doc_ids():
             result = _result(steps, doc_id, index.docs[doc_id][1], k)
             assert ([result] if result else []) == [r for r in results if r.doc_id == doc_id]
+
+
+class TestResults:
+    @given(ast=query_asts(), docs=st.lists(documents, min_size=1, max_size=6))
+    def test_each_result_is_the_score_and_snippets_of_its_value(self, ast, docs):
+        index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(docs))
+        for k in (0, 1, 3):
+            for result in search(index, show(ast), k):
+                value = evaluate(ast, index, result.doc_id)
+                assert result == SearchResult(result.doc_id, score(value), tuple(snippets(value, k)))
+                assert result.score == sum(Fraction(1, iv.length) for iv in value.intervals)
+                assert list(result.snippets) == reference_snippets(value, k)

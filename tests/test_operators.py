@@ -34,6 +34,46 @@ COLD = Antichain.of_positions([5, 21, 36])
 PP = ac((0, 1), (1, 3), (3, 4), (4, 6), (6, 7), (7, 31), (31, 32), (32, 34), (34, 35))
 
 
+@st.composite
+def runs(draw, min_size: int, max_size: int) -> Antichain:
+    """An antichain of min_size to max_size intervals over about 0..250."""
+    steps = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 8)), min_size=min_size, max_size=max_size)
+    out, left, right = [], draw(st.integers(-5, 5)), -10
+    for gap, width in draw(steps):
+        left += gap
+        right = max(right + 1, left + width)
+        out.append((left, right))
+    return Antichain(out)
+
+
+@st.composite
+def lopsided(draw) -> tuple[Antichain, Antichain]:
+    """One or two intervals against 40 to 60, in either order.
+
+    Each of the few shares its left or its right extreme with a member of
+    the run, or starts near one.
+    """
+    run = draw(runs(40, 60))
+    lefts, rights = run._lefts, run._rights
+    few = []
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lefts) - 1))
+        shift = draw(st.integers(-3, 3))
+        few.append(
+            draw(
+                st.sampled_from(
+                    [
+                        (lefts[i], max(lefts[i], rights[i] + shift)),
+                        (min(lefts[i] + shift, rights[i]), rights[i]),
+                        (lefts[i] + shift, lefts[i] + shift + abs(shift) * 5),
+                    ]
+                )
+            )
+        )
+    small = Antichain.normalize(few)
+    return draw(st.sampled_from([(small, run), (run, small)]))
+
+
 class TestLeq:
     def test_bottom_below_everything(self, e4):
         assert all(leq(BOTTOM, a) for a in e4)
@@ -90,6 +130,27 @@ class TestMeet:
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
         assert assert_normal(meet(a, b)) == oracle_spans(a, b, "meet")
+
+    # larger operands reach the early stop after a is done, right extremes
+    # both sides share, and either side running out first
+    @given(
+        st.one_of(
+            st.tuples(antichains(max_size=60, max_len=0), antichains(max_size=60, max_len=0)),
+            st.tuples(antichains(max_size=60, max_len=30), antichains(max_size=60, max_len=30)),
+            lopsided(),
+        )
+    )
+    def test_matches_definition_on_larger_and_skewed_operands(self, pair):
+        a, b = pair
+        assert assert_normal(meet(a, b)) == oracle_spans(a, b, "meet")
+
+    @given(antichains(allow_top=True, max_size=60, max_len=30), antichains(allow_top=True, max_size=60, max_len=30))
+    def test_commutes(self, a, b):
+        assert meet(a, b) == meet(b, a)
+
+    @given(antichains(allow_top=True, max_size=60, max_len=30))
+    def test_bottom_annihilates_either_side(self, a):
+        assert meet(a, BOTTOM) == meet(BOTTOM, a) == BOTTOM
 
 
 class TestPseudoDifference:
