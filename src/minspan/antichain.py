@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import itemgetter, le, lt
 from typing import Iterable, Iterator, NoReturn
 
-from .intervals import EMPTY, FULL, ExtendedInterval, Interval
+from .intervals import EMPTY, FULL, ExtendedInterval, Interval, _at_least
 
 __all__ = ["Antichain", "BOTTOM", "TOP", "GeneralAntichain", "CriticalSet"]
 
@@ -63,10 +63,8 @@ class Antichain:
 
     __slots__ = ("_lefts", "_rights", "_top")
 
-    def __init__(self, intervals: Iterable[IntervalLike] = (), *, top: bool = False):
+    def __init__(self, intervals: Iterable[IntervalLike] = ()):
         pairs = tuple(intervals)
-        if top and pairs:
-            raise ValueError("top antichain holds no concrete intervals")
         # whole-column passes; _reject only names the first bad member
         try:
             lefts, rights = tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
@@ -77,7 +75,7 @@ class Antichain:
             normal = False
         if not normal:
             _reject(pairs)
-        self._lefts, self._rights, self._top = lefts, rights, top
+        self._lefts, self._rights, self._top = lefts, rights, False
 
     # construction ---------------------------------------------------------
 
@@ -190,7 +188,8 @@ class Antichain:
 
 
 BOTTOM = Antichain()
-TOP = Antichain(top=True)
+TOP = Antichain._cols((), ())
+TOP._top = True
 
 
 @dataclass(frozen=True)
@@ -257,8 +256,7 @@ class GeneralAntichain:
         singletons, the core and the high ray's singletons follow each other
         in normal form.
         """
-        if n < 1:
-            raise ValueError("universe size must be positive")
+        _at_least(n, 1, "materialize", "n")
         if self.is_top:
             return TOP
         self.core._check_fits(n)

@@ -113,9 +113,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     docs = []
-    for path in args.paths:
-        p = Path(path)
-        docs.append((p.name, p.read_text(encoding="utf-8")))
+    for p in map(Path, args.paths):
+        try:
+            docs.append((p.name, p.read_text(encoding="utf-8")))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{p} is not UTF-8: {exc}") from None
     index = build_index(docs)
     with open(args.output, "w", encoding="utf-8") as fh:
         index.dump_jsonl(fh)
@@ -124,7 +126,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    with open(args.indexfile, encoding="utf-8") as fh:
+    with open(args.indexfile, "rb") as fh:
         index = PositionalIndex.load_jsonl(fh)
     if args.doc is None:
         results = search(index, args.query, k=args.snippets)
@@ -148,8 +150,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_enum(args: argparse.Namespace) -> int:
     n = args.n
     if args.levels:
-        profile = level_profile(n)
-        for r, count in enumerate(profile.counts):
+        for r, count in enumerate(level_profile(n).counts):
             print(f"{r}:{count}")
     elif args.width:
         print(width(n))

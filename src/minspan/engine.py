@@ -19,7 +19,7 @@ from operator import attrgetter, sub
 from . import queries as q
 from .antichain import Antichain
 from .indexing import PositionalIndex
-from .intervals import Interval
+from .intervals import Interval, _at_least
 from .operators import (
     Containment,
     StrictContainment,
@@ -122,6 +122,7 @@ def snippets(a: Antichain, k: int) -> list[Interval]:
     they do not overlap anything accepted so far; the pick stops once k are
     accepted, and k = 0 sorts nothing.
     """
+    _at_least(k, 0, "snippets", "k")
     if a.is_top:
         raise ValueError("the top element has no snippet intervals")
     return _snippets(a, _lengths(a), k)
@@ -171,8 +172,7 @@ def _snippets(a: Antichain, lengths: list[int], k: int) -> list[Interval]:
 
 def format_score(value: Fraction, places: int = 4) -> str:
     """Exact decimal rendering with round-half-to-even, no float in sight."""
-    if places < 0:
-        raise ValueError(f"decimal places must be nonnegative, got {places}")
+    _at_least(places, 0, "format_score", "places")
     scale = 10**places
     # Fraction rounds half to even, exactly
     scaled = round(value * scale)
@@ -216,8 +216,7 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
 
 
 def _plan(query_text: str, k: int) -> tuple[list[_Step], frozenset[str]]:
-    if k < 0:
-        raise ValueError(f"snippet count k must be nonnegative, got {k}")
+    _at_least(k, 0, "search", "k")
     return _compile(q.parse_query(query_text))
 
 

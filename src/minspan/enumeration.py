@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .antichain import TOP, Antichain
+from .intervals import _at_least
 from .operators import rank
 
 __all__ = [
@@ -39,14 +40,14 @@ def enumerate_lattice(n: int) -> Iterator[Antichain]:
     Proper antichains come out in depth-first order of the growing scan:
     each value is emitted before every extension obtained by appending an
     interval [i..j] whose extremes both exceed those of the current last
-    member. No duplicates; the stream has cardinality(n) elements.
+    member. No duplicates; the stream has cardinality(n) elements. Values
+    share their columns through an intern table of every distinct column
+    seen, at most 2**n, that lives as long as the stream: a long stream over
+    a wide universe keeps growing even when it keeps no value.
     """
-    if n < 0:
-        raise ValueError("universe size must be nonnegative")
+    _at_least(n, 0, "enumerate_lattice", "n")
     lefts: list[int] = []
     rights: list[int] = []
-    # a column is a strictly increasing subset of the n positions, so at
-    # most 2**n distinct ones occur; every value shares its columns
     columns: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def frame(lo: int, ro: int) -> Iterator[tuple[int, int]]:
@@ -78,10 +79,8 @@ def enumerate_lattice(n: int) -> Iterator[Antichain]:
 
 def cardinality(n: int) -> int:
     """C(n+1) + 1, the number of lattice elements over n positions."""
-    if n < 0:
-        raise ValueError("universe size must be nonnegative")
-    k = n + 1
-    return math.comb(2 * k, k) // (k + 1) + 1
+    _at_least(n, 0, "cardinality", "n")
+    return math.comb(2 * n + 2, n + 1) // (n + 2) + 1
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,7 @@ class LevelProfile:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _at_least(self.n, 1, "LevelProfile", "n")
         if len(self.counts) != 2 + self.n * (self.n + 1) // 2:
             raise ValueError("profile length must equal the lattice height")
 
@@ -105,8 +105,7 @@ class LevelProfile:
 
 
 def level_profile(n: int) -> LevelProfile:
-    if n < 1:
-        raise ValueError("universe size must be positive")
+    _at_least(n, 1, "level_profile", "n")
     counts = [0] * (2 + n * (n + 1) // 2)
     for a in enumerate_lattice(n):
         counts[rank(a, n)] += 1
@@ -120,16 +119,13 @@ def width(n: int) -> int:
     graph (minimum chain cover). Refuses n > WIDTH_BOUND, since cost grows
     with the square of the Catalan numbers.
     """
-    if n < 0:
-        raise ValueError("universe size must be nonnegative")
-    if n == 0:
-        return 1  # two-element chain
+    _at_least(n, 0, "width", "n")
     if n > WIDTH_BOUND:
         raise ValueError(f"width({n}) exceeds the supported bound {WIDTH_BOUND}")
     elements = list(enumerate_lattice(n))
     count = len(elements)
     masks = [_downset_mask(a, n) for a in elements]
-    ranks = [rank(a, n) for a in elements]
+    ranks = [mask.bit_count() for mask in masks]  # a rank counts the singletons below, one bit each
     by_rank: dict[int, list[int]] = {}
     for idx, r in enumerate(ranks):
         by_rank.setdefault(r, []).append(idx)

@@ -11,6 +11,8 @@ from operator import ge, itemgetter, lt
 from types import MappingProxyType
 from typing import TextIO
 
+from .intervals import _at_least
+
 __all__ = ["tokenize", "PositionalIndex", "build_index"]
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
@@ -105,8 +107,8 @@ class PositionalIndex:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
     @classmethod
-    def load_jsonl(cls, fh: TextIO) -> "PositionalIndex":
-        """Read a dump; any bad record raises ValueError naming its line."""
+    def load_jsonl(cls, fh: Iterable[str] | Iterable[bytes]) -> "PositionalIndex":
+        """Read a dump from lines of text or of bytes; any bad record raises ValueError naming its line."""
         index = cls()
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
@@ -119,7 +121,7 @@ class PositionalIndex:
         return index
 
 
-def _parse_record(line: str) -> tuple[str, int, dict[str, tuple[int, ...]]]:
+def _parse_record(line: str | bytes) -> tuple[str, int, dict[str, tuple[int, ...]]]:
     try:
         record = json.loads(line)
     except RecursionError:
@@ -129,9 +131,7 @@ def _parse_record(line: str) -> tuple[str, int, dict[str, tuple[int, ...]]]:
     doc_id, length, raw = record["doc"], record["length"], record["postings"]
     if not isinstance(doc_id, str):
         raise ValueError(f"document id {doc_id!r} is not a string")
-    # type() and not isinstance(): JSON true and false load as bool, an int subclass
-    if type(length) is not int or length < 0:
-        raise ValueError(f"length {length!r} of {doc_id!r} is not a nonnegative integer")
+    _at_least(length, 0, f"document {doc_id!r}", "length")
     if not isinstance(raw, dict):
         raise ValueError(f"postings of {doc_id!r} are not a JSON object")
     lists = list(raw.values())

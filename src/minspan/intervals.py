@@ -21,6 +21,13 @@ __all__ = [
 ]
 
 
+def _at_least(value: object, least: int, owner: str, name: str) -> None:
+    """The one rule for every universe size and count: an int, not a bool, of at least ``least``."""
+    if type(value) is not int or value < least:
+        want = f"an int {name} >= {least}" if least else f"a nonnegative int {name}"
+        raise ValueError(f"{owner} needs {want}, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Universe:
     """Either ``Universe.bounded(n)`` with positions {0..n-1}, or ``UNBOUNDED``."""
@@ -28,8 +35,8 @@ class Universe:
     size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.size is not None and (type(self.size) is not int or self.size < 1):
-            raise ValueError(f"bounded universe needs an int size >= 1, got {self.size!r}")
+        if self.size is not None:
+            _at_least(self.size, 1, "bounded universe", "size")
 
     @classmethod
     def bounded(cls, n: int) -> "Universe":

@@ -14,6 +14,7 @@ from itertools import compress
 from operator import eq
 
 from .antichain import BOTTOM, TOP, Antichain
+from .intervals import _at_least
 
 __all__ = [
     "leq",
@@ -288,12 +289,9 @@ def rank(a: Antichain, n: int) -> int:
     Equals the number of singleton antichains below a; telescoping over the
     members in natural order gives a closed form.
     """
-    if n < 1:
-        raise ValueError("universe size must be positive")
+    _at_least(n, 1, "rank", "n")
     if a.is_top:
         return 1 + n * (n + 1) // 2
-    if a.is_bottom:
-        return 0
     a._check_fits(n)
     total, prev = 0, -1
     for left, right in zip(a._lefts, a._rights):

@@ -20,6 +20,7 @@ from functools import partial, reduce
 from typing import NamedTuple
 
 from .indexing import _TOKEN, _words
+from .intervals import _at_least
 from .operators import Containment, StrictContainment
 
 __all__ = [
@@ -109,8 +110,7 @@ class Within(_Node):
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("WITHIN needs a positive window")
+        _at_least(self.k, 1, "WITHIN", "window")
 
 
 @_node

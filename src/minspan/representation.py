@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .antichain import Antichain, CriticalSet, GeneralAntichain
-from .intervals import EMPTY, ExtendedInterval, Universe
+from .intervals import EMPTY, ExtendedInterval, Universe, _at_least
 
 __all__ = [
     "complement_singletons",
@@ -34,6 +34,7 @@ __all__ = [
 
 def coatom(n: int) -> Antichain:
     """The antichain of all singletons of {0..n-1}: the unique coatom there."""
+    _at_least(n, 0, "coatom", "n")
     positions = tuple(range(n))
     return Antichain._cols(positions, positions)
 

@@ -8,6 +8,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import ac, antichains, assert_normal, interval_lists
+from minspan import LevelProfile, build_index, cardinality, enumerate_lattice, format_score, level_profile
+from minspan import search, snippets, width
 from minspan.antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
 from minspan.intervals import EMPTY, FULL, UNBOUNDED, ExtendedInterval, Interval, Universe
 from minspan.operators import (
@@ -18,10 +20,12 @@ from minspan.operators import (
     meet,
     ordered_meet,
     pseudo_difference,
+    rank,
     strict_containment,
     symmetric_difference,
     within,
 )
+from minspan.queries import Term, Within
 from minspan.representation import (
     bracket,
     coatom,
@@ -48,6 +52,39 @@ class TestUniverse:
     def test_rejects_bad_sizes(self, size):
         with pytest.raises(ValueError, match="^bounded universe needs an int size >= 1, got "):
             Universe(size)
+
+
+_ONE = Antichain([(0, 0)])
+# every public entry point that takes a universe size or a count: the call,
+# the argument's name and the least value the one shared rule accepts
+SIZES_AND_COUNTS = {
+    "Universe": (Universe, "size", 1),
+    "rank": (lambda n: rank(_ONE, n), "n", 1),
+    "materialize": (lambda n: GeneralAntichain.from_antichain(_ONE).materialize(n), "n", 1),
+    "level_profile": (level_profile, "n", 1),
+    "LevelProfile": (lambda n: LevelProfile(n, (1, 1, 1)), "n", 1),
+    "Within": (lambda k: Within(Term("a"), k), "window", 1),
+    "enumerate_lattice": (lambda n: next(enumerate_lattice(n)), "n", 0),
+    "cardinality": (cardinality, "n", 0),
+    "width": (width, "n", 0),
+    "coatom": (coatom, "n", 0),
+    "search": (lambda k: search(build_index([("d", "a")]), "a", k=k), "k", 0),
+    "snippets": (lambda k: snippets(_ONE, k), "k", 0),
+    "format_score": (lambda places: format_score(Fraction(1, 3), places), "places", 0),
+}
+
+
+class TestSizesAndCounts:
+    @pytest.mark.parametrize("bad", [2.5, True, "3", "least - 1"])
+    @pytest.mark.parametrize("entry", SIZES_AND_COUNTS)
+    def test_one_rule_rejects_and_names(self, entry, bad):
+        call, name, least = SIZES_AND_COUNTS[entry]
+        value = least - 1 if bad == "least - 1" else bad
+        with pytest.raises(ValueError) as err:
+            call(value)
+        message = str(err.value)
+        assert re.search(rf"\b{name}\b", message) and message.endswith(f", got {value!r}"), message
+        call(least)
 
 
 class TestNormalize:
@@ -214,9 +251,10 @@ class TestConstructionPaths:
         with pytest.raises(ValueError, match=r"^empty interval \[2\.\.1\]$"):
             Antichain.singleton(2, 1)
 
-    def test_top_takes_no_intervals(self):
-        with pytest.raises(ValueError, match="top antichain holds no concrete intervals"):
-            Antichain([(1, 2)], top=True)
+    def test_top_is_no_keyword(self):
+        # TOP is the one top value; the constructor builds proper antichains only
+        with pytest.raises(TypeError):
+            Antichain([], top=True)
 
 
 class TestDisplay:

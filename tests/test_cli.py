@@ -103,6 +103,21 @@ class TestIndexAndQuery:
         code, _ = run_cli(capsys, "query", "no-such-index.jsonl", "--q", "hot")
         assert code == 2
 
+    def test_index_line_that_is_no_utf8_is_named(self, capsys, tmp_path):
+        idx = tmp_path / "idx.jsonl"
+        run_cli(capsys, "index", str(RHYME), "-o", str(idx))
+        with idx.open("ab") as fh:
+            fh.write(b'{"doc": "\xff", "length": 0, "postings": {}}\n')
+        assert main(["query", str(idx), "--q", "hot"]) == 2
+        assert capsys.readouterr().err.startswith("minspan: error: bad index record on line 2: ")
+
+    def test_input_that_is_no_utf8_is_named(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"pease \xff porridge\n")
+        assert main(["index", str(RHYME), str(bad), "-o", str(tmp_path / "idx.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith(f"minspan: error: {bad} is not UTF-8: ")
+        assert not (tmp_path / "idx.jsonl").exists()
+
 
 class TestEnum:
     def test_count(self, capsys):

@@ -238,6 +238,24 @@ class TestOrderedOperators:
         assert ordered_meet(ordered_meet(a, b), c) == ordered_meet(a, ordered_meet(b, c))
         assert block(block(a, b), c) == block(a, block(b, c))
 
+    # many short intervals close together, so that blocks and ordered spans are frequent
+    @given(*[antichains(allow_top=True, min_pos=0, max_pos=40, max_len=3, max_size=24)] * 3)
+    def test_associativity_on_dense_operands(self, a, b, c):
+        assert ordered_meet(ordered_meet(a, b), c) == ordered_meet(a, ordered_meet(b, c))
+        assert block(block(a, b), c) == block(a, block(b, c))
+
+    def test_associativity_exhaustive_on_small_lattice(self, e4):
+        # both operators map the lattice over {0..3} into itself, so each is a
+        # table over its 43 elements, top included, checked on all 43**3 triples
+        assert len(e4) == 43
+        at = {a: i for i, a in enumerate(e4)}
+        for op in (ordered_meet, block):
+            table = [[at[op(a, b)] for b in e4] for a in e4]
+            for i, row in enumerate(table):
+                for j, ij in enumerate(row):
+                    for k, jk in enumerate(table[j]):
+                        assert table[ij][k] == table[i][jk], (op, e4[i], e4[j], e4[k])
+
 
 class TestGradedStructure:
     def test_rank_increments_on_covers(self, e4):
