@@ -13,6 +13,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import repeat
 from math import lcm
 from operator import attrgetter, sub
 
@@ -21,15 +22,14 @@ from .antichain import Antichain
 from .indexing import PositionalIndex
 from .intervals import Interval, _at_least
 from .operators import (
+    _FILTERS,
     Containment,
     StrictContainment,
     block,
-    filter_containment,
     join,
     meet,
     ordered_meet,
     pseudo_difference,
-    strict_containment,
     within,
 )
 
@@ -100,9 +100,9 @@ def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
             case q.Within():
                 op, need = partial(within, k=n.k), sides[0]
             case q.ContainmentOp() | q.StrictContainmentOp():
-                op = filter_containment if type(n) is q.ContainmentOp else strict_containment
-                op = partial(op, mode=n.mode)
-                need = _union(sides) if n.mode in _EMPTY_WITH_RIGHT else sides[0]
+                # the mode's sweep, its (keep_found, strict) pair already bound
+                mode = (Containment if type(n) is q.ContainmentOp else StrictContainment)(n.mode)
+                op, need = _FILTERS[mode], _union(sides) if mode in _EMPTY_WITH_RIGHT else sides[0]
         steps.append((op, arity, text))
         required[len(required) - arity :] = (need,)
     return steps, frozenset(required[0])
@@ -167,7 +167,7 @@ def _snippets(a: Antichain, lengths: list[int], k: int) -> list[Interval]:
         kept_rights.insert(at, right)
         if len(kept_lefts) == k:
             break
-    return list(map(Interval._make, zip(kept_lefts, kept_rights)))
+    return list(map(tuple.__new__, repeat(Interval), zip(kept_lefts, kept_rights)))
 
 
 def format_score(value: Fraction, places: int = 4) -> str:

@@ -9,8 +9,10 @@ is a subset of everything and a superset of nothing.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
-from itertools import compress
+from functools import partial
+from itertools import chain, compress
 from operator import eq
 
 from .antichain import BOTTOM, TOP, Antichain
@@ -33,6 +35,11 @@ __all__ = [
     "rank",
 ]
 
+# a last interval past every other, so a merge needs no end-of-column test:
+# it starts after, and ends after, every member it meets
+_INF = float("inf")
+_END = ((_INF, _INF),)
+
 
 def leq(a: Antichain, b: Antichain) -> bool:
     """Order of the lattice: every interval of a contains some interval of b.
@@ -45,18 +52,44 @@ def leq(a: Antichain, b: Antichain) -> bool:
 def join(a: Antichain, b: Antichain) -> Antichain:
     """Least upper bound: the inclusion-minimal intervals of the union.
 
-    b - a keeps the intervals of b that no interval of a refines, and
-    a - (b - a) the intervals of a that refine none of those; together they
-    are the minimal intervals, each once. Being an antichain, their union
-    sorts column by column, and sorting two sorted runs is one merge.
+    One merge of the two antichains by left extreme. Along an antichain both
+    extremes strictly increase, so of the intervals of one side that start
+    at or after a given left extreme, the first also ends first. When the
+    merge reaches a member, the head of the other side is that first one,
+    so the member is refined by the other side exactly when the head ends
+    at or before its right extreme; it is kept otherwise. On equal left
+    extremes the shorter interval refines the longer and is kept once. Each
+    side ends in a sentinel past every interval, so once one side runs out
+    the rest of the other is kept.
     """
     if a.is_top or b.is_top:
         return TOP
-    b_only = pseudo_difference(b, a)
-    a_kept = pseudo_difference(a, b_only)
-    return Antichain._cols(
-        sorted(a_kept._lefts + b_only._lefts), sorted(a_kept._rights + b_only._rights)
-    )
+    if b.is_bottom:
+        return a
+    if a.is_bottom:
+        return b
+    lefts: list[int] = []
+    rights: list[int] = []
+    xs, ys = chain(zip(a._lefts, a._rights), _END), chain(zip(b._lefts, b._rights), _END)
+    (x, xr), (y, yr) = next(xs), next(ys)
+    while True:
+        if x < y:
+            if yr > xr:
+                lefts.append(x)
+                rights.append(xr)
+            x, xr = next(xs)
+        elif y < x:
+            if xr > yr:
+                lefts.append(y)
+                rights.append(yr)
+            y, yr = next(ys)
+        elif x == _INF:
+            break
+        else:
+            lefts.append(x)
+            rights.append(xr if xr < yr else yr)
+            (x, xr), (y, yr) = next(xs), next(ys)
+    return Antichain._cols(lefts, rights)
 
 
 def meet(a: Antichain, b: Antichain) -> Antichain:
@@ -173,16 +206,60 @@ def filter_containment(a: Antichain, b: Antichain, mode: Containment | str) -> A
     ``containing`` keeps intervals of a that contain some interval of b,
     ``contained_in`` those lying inside some interval of b; the ``not_``
     modes keep the complement. The result is a subset of a, hence already an
-    antichain in normal form. The containing modes are pseudo-differences:
-    a - b keeps the intervals of a containing no interval of b, and
-    a - (a - b) the rest.
+    antichain in normal form. ``not_containing`` is the pseudo-difference
+    a - b; each other mode is one sweep over a and b, ``containing`` the
+    one of :func:`_containing`.
     """
-    mode = Containment(mode)
-    if mode is Containment.NOT_CONTAINING:
-        return pseudo_difference(a, b)
-    if mode is Containment.CONTAINING:
-        return pseudo_difference(a, pseudo_difference(a, b))
-    keep_found = mode is Containment.CONTAINED_IN
+    return _FILTERS[Containment(mode)](a, b)
+
+
+def strict_containment(a: Antichain, b: Antichain, mode: StrictContainment | str) -> Antichain:
+    """Like the containing filters but with strict inclusion as the witness.
+
+    One sweep, that of ``containing`` (see :func:`_containing`), except that
+    an interval of b equal to the member is no witness. The intervals
+    ``not_strictly_containing`` keeps are those of a that survive
+    minimization in a v b.
+    """
+    return _FILTERS[StrictContainment(mode)](a, b)
+
+
+def _containing(a: Antichain, b: Antichain, keep_found: bool, strict: bool) -> Antichain:
+    """The members of a containing some interval of b, strictly if ``strict``; if not
+    ``keep_found``, the other members.
+
+    Along an antichain both extremes strictly increase, so of the intervals
+    of b that start at or after a member's left extreme, the first also ends
+    first. The member contains some interval of b exactly when that first
+    one ends at or before its right extreme, and strictly exactly when, in
+    addition, that one is not the member itself: every later one ends later
+    and cannot fit in the member either.
+    """
+    if not (a._lefts and b._lefts):
+        # a or b is top or bottom. Top is {∅}: every nonempty interval
+        # strictly contains the empty one, which contains only itself
+        found = b.is_top and not (strict and a.is_top)
+        return a if found == keep_found else BOTTOM
+    heads = chain(zip(b._lefts, b._rights), _END)
+    start, end = next(heads)
+    lefts: list[int] = []
+    rights: list[int] = []
+    for left, right in zip(a._lefts, a._rights):
+        while start < left:
+            start, end = next(heads)
+        found = end < right or end == right and not (strict and start == left)
+        if found == keep_found:
+            lefts.append(left)
+            rights.append(right)
+    return Antichain._cols(lefts, rights)
+
+
+def _contained_in(a: Antichain, b: Antichain, keep_found: bool) -> Antichain:
+    """The members of a that lie inside some interval of b, or if not ``keep_found`` the others.
+
+    The interval of b that starts last at or before a member's left extreme
+    ends last among those, so it alone decides.
+    """
     if a.is_bottom:
         return BOTTOM
     if b.is_bottom:
@@ -205,18 +282,15 @@ def filter_containment(a: Antichain, b: Antichain, mode: Containment | str) -> A
     return Antichain._cols(lefts, rights)
 
 
-def strict_containment(a: Antichain, b: Antichain, mode: StrictContainment | str) -> Antichain:
-    """Like the containing filters but with strict inclusion as the witness.
-
-    Derived from pseudo-difference: a - (b - a) keeps exactly the intervals
-    of a that no interval of b strictly undercuts, i.e. those that survive
-    minimization in a v b.
-    """
-    mode = StrictContainment(mode)
-    not_strict = pseudo_difference(a, pseudo_difference(b, a))
-    if mode is StrictContainment.NOT_STRICTLY_CONTAINING:
-        return not_strict
-    return pseudo_difference(a, not_strict)
+# the sweep of each mode, with its (keep_found, strict) pair bound in
+_FILTERS: dict[Containment | StrictContainment, Callable[[Antichain, Antichain], Antichain]] = {
+    Containment.CONTAINING: partial(_containing, keep_found=True, strict=False),
+    Containment.NOT_CONTAINING: pseudo_difference,
+    Containment.CONTAINED_IN: partial(_contained_in, keep_found=True),
+    Containment.NOT_CONTAINED_IN: partial(_contained_in, keep_found=False),
+    StrictContainment.STRICTLY_CONTAINING: partial(_containing, keep_found=True, strict=True),
+    StrictContainment.NOT_STRICTLY_CONTAINING: partial(_containing, keep_found=False, strict=True),
+}
 
 
 def ordered_meet(a: Antichain, b: Antichain) -> Antichain:

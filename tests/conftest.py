@@ -17,7 +17,16 @@ from minspan.antichain import TOP, Antichain, GeneralAntichain
 from minspan.enumeration import enumerate_lattice
 from minspan.intervals import UNBOUNDED, Interval
 from minspan import queries as q
-from minspan.operators import Containment, StrictContainment, join, leq, meet, pseudo_difference
+from minspan.operators import (
+    Containment,
+    StrictContainment,
+    filter_containment,
+    join,
+    leq,
+    meet,
+    pseudo_difference,
+    strict_containment,
+)
 from minspan.representation import relative_pseudo_complement
 
 settings.register_profile(
@@ -101,6 +110,10 @@ SCALING_OPS = {
     "meet": lambda a, b, refined, shifted: meet(a, b),
     "leq": lambda a, b, refined, shifted: leq(a, refined),
     "pseudo_difference": lambda a, b, refined, shifted: pseudo_difference(a, shifted),
+    "containing": lambda a, b, refined, shifted: filter_containment(a, b, "containing"),
+    "not_strictly_containing": lambda a, b, refined, shifted: strict_containment(
+        a, b, "not_strictly_containing"
+    ),
     "relative_pseudo_complement": lambda a, b, refined, shifted: relative_pseudo_complement(
         a, b, UNBOUNDED
     ),

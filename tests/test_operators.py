@@ -231,6 +231,74 @@ class TestStrictContainment:
             assert assert_normal(strict_containment(a, b, mode)) == oracle_filter(a, b, mode)
 
 
+@st.composite
+def dense_pairs(draw) -> tuple[Antichain, Antichain]:
+    """Two antichains over {0..n-1}, n up to 40, each TOP, bottom or dense.
+
+    A dense side normalizes up to 2n short intervals; b takes some members
+    of a besides its own, so equal members and shared extremes are common.
+    """
+    n = draw(st.integers(1, 40))
+    short = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 6)), max_size=2 * n)
+
+    def side(shared: tuple = ()) -> Antichain:
+        kind = draw(st.sampled_from(["top", "bottom", "dense", "dense"]))
+        if kind != "dense":
+            return TOP if kind == "top" else BOTTOM
+        own = [(left, min(n - 1, left + width)) for left, width in draw(short)]
+        taken = [iv for iv in shared if draw(st.booleans())]
+        return Antichain.normalize(own + taken)
+
+    a = side()
+    return a, side(() if a.is_top else a.intervals)
+
+
+def composed_join(a: Antichain, b: Antichain) -> Antichain:
+    """join as two pseudo-differences and a sort of each column, its earlier form."""
+    if a.is_top or b.is_top:
+        return TOP
+    b_only = pseudo_difference(b, a)
+    a_kept = pseudo_difference(a, b_only)
+    return Antichain._cols(
+        sorted(a_kept._lefts + b_only._lefts), sorted(a_kept._rights + b_only._rights)
+    )
+
+
+def composed_filter(a: Antichain, b: Antichain, mode: Containment | StrictContainment) -> Antichain:
+    """The containing modes as pseudo-difference compositions, their earlier form.
+
+    The contained-in modes had no such form; the brute-force definition
+    stands in for them.
+    """
+    if mode in (Containment.CONTAINED_IN, Containment.NOT_CONTAINED_IN):
+        return oracle_filter(a, b, mode)
+    if mode is Containment.NOT_CONTAINING:
+        return pseudo_difference(a, b)
+    if mode is Containment.CONTAINING:
+        return pseudo_difference(a, pseudo_difference(a, b))
+    not_strict = pseudo_difference(a, pseudo_difference(b, a))
+    if mode is StrictContainment.NOT_STRICTLY_CONTAINING:
+        return not_strict
+    return pseudo_difference(a, not_strict)
+
+
+class TestSweepsMatchCompositions:
+    """The one-pass join and containment sweeps against the compositions they replace."""
+
+    @given(dense_pairs())
+    def test_join(self, pair):
+        a, b = pair
+        assert assert_normal(join(a, b)) == composed_join(a, b)
+
+    @given(dense_pairs())
+    def test_every_containment_mode(self, pair):
+        a, b = pair
+        for mode in Containment:
+            assert assert_normal(filter_containment(a, b, mode)) == composed_filter(a, b, mode), mode
+        for mode in StrictContainment:
+            assert assert_normal(strict_containment(a, b, mode)) == composed_filter(a, b, mode), mode
+
+
 class TestOrderedMeet:
     def test_single_pair(self):
         assert ordered_meet(ac((0, 0), (4, 4)), ac((2, 2))) == ac((0, 2))
