@@ -228,6 +228,15 @@ class GeneralAntichain:
             raise ValueError("rays may not cover the whole line")
 
     @classmethod
+    def _trusted(cls, low_ray: int | None, core: Antichain, high_ray: int | None) -> "GeneralAntichain":
+        """Wrap rays and a core already in normal form, without checking them."""
+        self = object.__new__(cls)
+        # a frozen dataclass without slots keeps its fields in the instance dict
+        fields = self.__dict__
+        fields["low_ray"], fields["core"], fields["high_ray"] = low_ray, core, high_ray
+        return self
+
+    @classmethod
     def top(cls) -> "GeneralAntichain":
         return cls(None, TOP, None)
 

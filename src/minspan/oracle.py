@@ -5,13 +5,19 @@ inclusion, exhaustive scans over all intervals of a bounded universe or all
 lattice elements, and for the retrieval operators every pair of members.
 Deliberately slow and deliberately independent of the closed-form
 operators, so the two can check each other. Shares only the value types
-with the rest of the library.
+and the lattice enumeration with the rest of the library.
+
+A lower set over {0..n-1} is kept as an int mask, bit i standing for the
+i-th interval of :func:`all_intervals` and one bit past them for the empty
+interval, which only the top element's lower set holds. Inclusion is then
+``a & ~b == 0``, union OR and intersection AND.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .antichain import TOP, Antichain, CriticalSet
 from .intervals import EMPTY, ExtendedInterval, Interval
@@ -44,33 +50,61 @@ class DownSet:
     members: frozenset[Interval]
 
 
+@lru_cache(maxsize=8)
+def _numbering(n: int) -> tuple[tuple[Interval, ...], dict[Interval, int]]:
+    """The intervals of {0..n-1}, bit i for the i-th, and the mask of the intervals containing each."""
+    ivs = tuple(all_intervals(n))
+    return ivs, {iv: sum(1 << i for i, j in enumerate(ivs) if j.contains(iv)) for iv in ivs}
+
+
+def _mask(a: Antichain, n: int) -> int:
+    """The lower set of ``a``: every interval of {0..n-1} containing a member, plus ∅ for top."""
+    ivs, above = _numbering(n)
+    if a.is_top:
+        return (1 << (len(ivs) + 1)) - 1
+    mask = 0
+    for m in a.intervals:
+        mask |= above.get(m, 0)
+    return mask
+
+
+def _intervals_in(mask: int, n: int) -> list[Interval]:
+    """The intervals of {0..n-1} whose bits ``mask`` holds, in order."""
+    ivs, _ = _numbering(n)
+    return [iv for i, iv in enumerate(ivs) if mask >> i & 1]
+
+
+def _from_mask(mask: int, n: int) -> Antichain:
+    """The element whose lower set is ``mask``: top if it holds ∅, else its minimal intervals."""
+    if mask >> len(_numbering(n)[0]):
+        return TOP
+    return oracle_minimal(_intervals_in(mask, n))
+
+
+@lru_cache(maxsize=8)
+def _lattice_masks(n: int) -> tuple[int, ...]:
+    """The lower set of every element of the lattice on n positions, computed once per n."""
+    from .enumeration import enumerate_lattice
+
+    return tuple(_mask(c, n) for c in enumerate_lattice(n))
+
+
 def downset(a: Antichain, n: int) -> DownSet:
     if a.is_top:
         raise ValueError("the lower set of the top element is not a set of intervals")
-    found = frozenset(
-        iv for iv in all_intervals(n) if any(iv.contains(m) for m in a.intervals)
-    )
-    return DownSet(n, found)
+    return DownSet(n, frozenset(_intervals_in(_mask(a, n), n)))
 
 
 def oracle_leq(a: Antichain, b: Antichain, n: int) -> bool:
-    if b.is_top:
-        return True
-    if a.is_top:
-        return False
-    return downset(a, n).members <= downset(b, n).members
+    return _mask(a, n) & ~_mask(b, n) == 0
 
 
 def oracle_bound(a: Antichain, b: Antichain, n: int, kind: str) -> Antichain:
     """Join or meet computed through lower sets: union or intersection, then minimize."""
     if kind not in ("join", "meet"):
         raise ValueError(f"kind must be join or meet, not {kind!r}")
-    if a.is_top or b.is_top:
-        if kind == "join":
-            return Antichain.top()
-        return b if a.is_top else a
-    da, db = downset(a, n).members, downset(b, n).members
-    return oracle_minimal(da | db if kind == "join" else da & db)
+    da, db = _mask(a, n), _mask(b, n)
+    return _from_mask(da | db if kind == "join" else da & db, n)
 
 
 def oracle_residual(a: Antichain, b: Antichain, n: int, kind: str) -> Antichain:
@@ -79,21 +113,20 @@ def oracle_residual(a: Antichain, b: Antichain, n: int, kind: str) -> Antichain:
     ``implies`` is the join of all c with meet(a, c) <= b; ``minus`` the meet
     of all c with a <= join(b, c). Feasible only at desk scale.
     """
-    from .enumeration import enumerate_lattice
-
     if kind not in ("implies", "minus"):
         raise ValueError(f"kind must be implies or minus, not {kind!r}")
+    da, db = _mask(a, n), _mask(b, n)
     if kind == "implies":
-        acc = Antichain.bottom()
-        for c in enumerate_lattice(n):
-            if oracle_leq(oracle_bound(a, c, n, "meet"), b, n):
-                acc = oracle_bound(acc, c, n, "join")
-        return acc
-    acc = Antichain.top()
-    for c in enumerate_lattice(n):
-        if oracle_leq(a, oracle_bound(b, c, n, "join"), n):
-            acc = oracle_bound(acc, c, n, "meet")
-    return acc
+        acc = 0
+        for dc in _lattice_masks(n):
+            if da & dc & ~db == 0:
+                acc |= dc
+    else:
+        acc = _mask(TOP, n)
+        for dc in _lattice_masks(n):
+            if da & ~(db | dc) == 0:
+                acc &= dc
+    return _from_mask(acc, n)
 
 
 def oracle_crit(a: Antichain, n: int) -> CriticalSet:

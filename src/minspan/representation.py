@@ -10,6 +10,12 @@ pseudo-complement in closed form: a ⇒ b is the meet over the critical
 intervals of b that hold a member of a. Both build their answer with one
 builder, ``_meet``.
 
+``_meet`` takes each critical interval by its two anchors, the positions
+just outside it: its left extreme − 1 and its right extreme + 1, with None
+at a ray's open end. A critical interval of b runs from just after one
+member's left extreme to just before the next member's right extreme, so
+the anchors of the relative pseudo-complement are b's own extremes.
+
 Over a bounded universe results are returned fully materialized; over the
 unbounded universe infinite parts are kept symbolic as rays of a
 :class:`~minspan.antichain.GeneralAntichain`.
@@ -18,8 +24,9 @@ unbounded universe infinite parts are kept symbolic as rays of a
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import islice
 
-from .antichain import Antichain, CriticalSet, GeneralAntichain
+from .antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
 from .intervals import EMPTY, ExtendedInterval, Universe, _at_least
 
 __all__ = [
@@ -56,25 +63,7 @@ def bracket(low_anchor: int, high_anchor: int) -> Antichain:
     between r and l already straddles both anchors, giving a run of
     singletons. This is the meet of the two ray complements.
     """
-    return _brackets((low_anchor,), (high_anchor,))
-
-
-def _brackets(low_anchors: Sequence[int], high_anchors: Sequence[int]) -> Antichain:
-    """The brackets of each anchor pair in turn, as one antichain.
-
-    The pairs must give disjoint brackets in natural order, as the closed
-    forms below do.
-    """
-    lefts: list[int] = []
-    rights: list[int] = []
-    for low, high in zip(low_anchors, high_anchors):
-        if low < high:
-            lefts.append(low)
-            rights.append(high)
-        else:
-            lefts += range(high, low + 1)
-            rights += range(high, low + 1)
-    return Antichain._cols(lefts, rights)
+    return _meet((None, low_anchor), (high_anchor, None), None).core
 
 
 def critical_intervals(a: Antichain, universe: Universe) -> CriticalSet:
@@ -115,7 +104,7 @@ def meet_of_irreducibles(s: CriticalSet, universe: Universe) -> GeneralAntichain
     if es and es[0].empty:
         if n is None:
             raise ValueError("the meet over {∅} is the infinite set of all singletons")
-        return GeneralAntichain.from_antichain(coatom(n))
+        return GeneralAntichain._trusted(None, coatom(n), None)
     if n is not None and es:
         # extremes increase along s, so only the outermost finite ones can
         # leave the universe; a ray may end just outside it, as over Z
@@ -124,7 +113,11 @@ def meet_of_irreducibles(s: CriticalSet, universe: Universe) -> GeneralAntichain
         high = last.left if last.right is None else last.right + 1
         if (low is not None and low < -1) or (high is not None and high > n):
             raise ValueError(f"antichain does not fit in a universe of size {n}")
-    return _meet([e.left for e in es], [e.right for e in es], n)
+    return _meet(
+        [None if e.left is None else e.left - 1 for e in es],
+        [None if e.right is None else e.right + 1 for e in es],
+        n,
+    )
 
 
 def relative_pseudo_complement(
@@ -143,48 +136,69 @@ def relative_pseudo_complement(
         a._check_fits(n)
         b._check_fits(n)
     if a.is_top:
-        return GeneralAntichain.from_antichain(b)
+        return GeneralAntichain._trusted(None, b, None)
     if b.is_top or a.is_bottom:
-        return GeneralAntichain.top()
+        return GeneralAntichain._trusted(None, TOP, None)
     if b.is_bottom:
-        return GeneralAntichain.bottom()
+        return GeneralAntichain._trusted(None, BOTTOM, None)
 
     al, ar, bl, br = a._lefts, a._rights, b._lefts, b._rights
-    # the witnessed critical intervals of b, as columns of their extremes;
-    # the rays serve over {0..n-1} too, since _meet expands them there
+    # the anchors of the witnessed critical intervals of b; the rays serve
+    # over {0..n-1} too, since _meet expands them there
     lows: list[int | None] = []
     highs: list[int | None] = []
     if ar[0] < br[0]:
         lows.append(None)
-        highs.append(br[0] - 1)
+        highs.append(br[0])
     j = 0
     na = len(al)
-    for x, y in zip(bl, br[1:]):
-        # the gap runs from x + 1 to y - 1; an empty one holds no member of a
+    for x, y in zip(bl, islice(br, 1, None)):
+        # the gap strictly between x and y; an empty one holds no member of a
         while j < na and al[j] <= x:
             j += 1
         if j < na and ar[j] < y:
-            lows.append(x + 1)
-            highs.append(y - 1)
+            lows.append(x)
+            highs.append(y)
     if al[-1] > bl[-1]:
-        lows.append(bl[-1] + 1)
+        lows.append(bl[-1])
         highs.append(None)
     return _meet(lows, highs, n)
 
 
-def _meet(lows: Sequence[int | None], highs: Sequence[int | None], n: int | None) -> GeneralAntichain:
-    """The meet of the singleton-complements of the intervals with these extremes.
+def _meet(
+    low_anchors: Sequence[int | None], high_anchors: Sequence[int | None], n: int | None
+) -> GeneralAntichain:
+    """The meet of the singleton-complements of the intervals with these anchors.
 
-    The intervals are nonempty and in natural order, with None at a ray's
-    open end. The answer is a bracket per consecutive pair, and a ray of
-    singletons on each side where the outermost interval ends: no
-    intervals give top, the full line bottom. Over {0..n-1} the rays are
-    expanded into singletons.
+    Interval i runs from ``low_anchors[i] + 1`` to ``high_anchors[i] - 1``:
+    an anchor is the position just outside it, None at a ray's open end.
+    For the relative pseudo-complement the anchors are b's own extremes.
+    The intervals are nonempty and in natural order. In one pass the answer
+    is built from the singletons up to the first low anchor, one bracket
+    per consecutive pair (from the later interval's low anchor to the
+    earlier one's high anchor) and the singletons from the last high anchor
+    on: no intervals give top, the full line bottom. Over {0..n-1} the
+    outer singletons are listed; over Z they stay rays.
     """
-    if not lows:
-        return GeneralAntichain.top()
-    low = None if lows[0] is None else lows[0] - 1
-    high = None if highs[-1] is None else highs[-1] + 1
-    # the intervals between the first and the last are finite
-    value = GeneralAntichain(low, _brackets([x - 1 for x in lows[1:]], [y + 1 for y in highs[:-1]]), high)
-    return value if n is None else GeneralAntichain.from_antichain(value.materialize(n))
+    if not low_anchors:
+        return GeneralAntichain._trusted(None, TOP, None)
+    low, high = low_anchors[0], high_anchors[-1]
+    lefts: list[int] = []
+    rights: list[int] = []
+    if n is not None and low is not None:
+        lefts += range(low + 1)
+        rights += range(low + 1)
+        low = None
+    # the anchors between the first and the last are finite
+    for left, right in zip(islice(low_anchors, 1, None), high_anchors):
+        if left < right:
+            lefts.append(left)
+            rights.append(right)
+        else:
+            lefts += range(right, left + 1)
+            rights += range(right, left + 1)
+    if n is not None and high is not None:
+        lefts += range(high, n)
+        rights += range(high, n)
+        high = None
+    return GeneralAntichain._trusted(low, Antichain._cols(lefts, rights), high)

@@ -227,5 +227,10 @@ def e4() -> list[Antichain]:
 
 
 @pytest.fixture(scope="session")
+def e5() -> list[Antichain]:
+    return list(enumerate_lattice(5))
+
+
+@pytest.fixture(scope="session")
 def rhyme_text() -> str:
     return (DATA_DIR / "rhyme.txt").read_text(encoding="utf-8")

@@ -92,8 +92,8 @@ class TestOracleOps:
 
 
 class TestAgreementSmoke:
-    """Exhaustive agreement at n=3; the full n=4 and sampled n=6 runs live
-    in the acceptance suite."""
+    """Exhaustive agreement at n=3, and for both residuals at n=5; the full
+    n=4 and sampled n=6 runs live in the acceptance suite."""
 
     def test_all_ops_agree(self, e3):
         n = 3
@@ -108,6 +108,15 @@ class TestAgreementSmoke:
                 assert pseudo_difference(a, b) == oracle_residual(a, b, n, "minus")
                 got = relative_pseudo_complement(a, b, u).to_antichain()
                 assert got == oracle_residual(a, b, n, "implies")
+
+    def test_residuals_exhaustive_n5(self, e5):
+        n = 5
+        u = Universe.bounded(n)
+        for a in e5:
+            for b in e5:
+                assert pseudo_difference(a, b) == oracle_residual(a, b, n, "minus"), (a, b)
+                got = relative_pseudo_complement(a, b, u).to_antichain()
+                assert got == oracle_residual(a, b, n, "implies"), (a, b)
 
     def test_random_pairs_n5(self, e4):
         n = 5

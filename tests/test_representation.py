@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import ac, antichains, assert_normal
 from minspan.antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
 from minspan.enumeration import enumerate_lattice
-from minspan.intervals import EMPTY, FULL, UNBOUNDED, ExtendedInterval, Universe
+from minspan.intervals import EMPTY, FULL, UNBOUNDED, ExtendedInterval, Interval, Universe
 from minspan.operators import leq, meet
 from minspan.oracle import oracle_crit
 from minspan.representation import (
@@ -19,6 +20,91 @@ from minspan.representation import (
 )
 
 B = Universe.bounded
+
+
+# The three-pass form of the relative pseudo-complement and of the builder,
+# kept as the reference for the one-loop form: rpc lists the extremes of the
+# witnessed critical intervals, the builder undoes the ±1 to get the bracket
+# anchors, a second loop makes the brackets, and the result is checked on
+# its way out by the public constructor and by materialize.
+def _reference_brackets(low_anchors, high_anchors):
+    lefts, rights = [], []
+    for low, high in zip(low_anchors, high_anchors):
+        if low < high:
+            lefts.append(low)
+            rights.append(high)
+        else:
+            lefts += range(high, low + 1)
+            rights += range(high, low + 1)
+    return Antichain._cols(lefts, rights)
+
+
+def _reference_meet(lows, highs, n):
+    if not lows:
+        return GeneralAntichain.top()
+    low = None if lows[0] is None else lows[0] - 1
+    high = None if highs[-1] is None else highs[-1] + 1
+    core = _reference_brackets([x - 1 for x in lows[1:]], [y + 1 for y in highs[:-1]])
+    value = GeneralAntichain(low, core, high)
+    return value if n is None else GeneralAntichain.from_antichain(value.materialize(n))
+
+
+def _reference_meet_of_irreducibles(s, universe):
+    n = universe.size
+    es = s.elements
+    if es and es[0].empty:
+        return GeneralAntichain.from_antichain(coatom(n))
+    return _reference_meet([e.left for e in es], [e.right for e in es], n)
+
+
+def _reference_rpc(a, b, universe):
+    n = universe.size
+    if a.is_top:
+        return GeneralAntichain.from_antichain(b)
+    if b.is_top or a.is_bottom:
+        return GeneralAntichain.top()
+    if b.is_bottom:
+        return GeneralAntichain.bottom()
+    al, ar, bl, br = a._lefts, a._rights, b._lefts, b._rights
+    lows, highs = [], []
+    if ar[0] < br[0]:
+        lows.append(None)
+        highs.append(br[0] - 1)
+    j = 0
+    for x, y in zip(bl, br[1:]):
+        while j < len(al) and al[j] <= x:
+            j += 1
+        if j < len(al) and ar[j] < y:
+            lows.append(x + 1)
+            highs.append(y - 1)
+    if al[-1] > bl[-1]:
+        lows.append(bl[-1] + 1)
+        highs.append(None)
+    return _reference_meet(lows, highs, n)
+
+
+def _checked(g: GeneralAntichain) -> GeneralAntichain:
+    """Assert that ``g`` passes the public checked constructor unchanged; returns it."""
+    assert GeneralAntichain(g.low_ray, g.core, g.high_ray) == g
+    return assert_normal(g)
+
+
+def _witnessed(crit: CriticalSet, a: Antichain) -> CriticalSet:
+    """The critical intervals that hold a member of ``a``; top's one member, ∅, is in each."""
+    members = [EMPTY] if a.is_top else [ExtendedInterval(*m) for m in a]
+    return CriticalSet(tuple(iv for iv in crit if any(map(iv.contains, members))))
+
+
+@st.composite
+def dense_windows(draw):
+    """A window size n <= 40 and two antichains of short intervals inside {0..n-1}."""
+    n = draw(st.integers(1, 40))
+    starts = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3)), max_size=n)
+    a, b = (
+        Antichain.normalize(Interval(left, min(left + width, n - 1)) for left, width in draw(starts))
+        for _ in range(2)
+    )
+    return n, a, b
 
 
 class TestComplementSingletons:
@@ -61,6 +147,11 @@ class TestBracket:
 
     def test_degenerate_run(self):
         assert assert_normal(bracket(2, 2)) == ac((2, 2))
+
+    def test_matches_reference(self):
+        for low in range(-3, 8):
+            for high in range(-3, 8):
+                assert assert_normal(bracket(low, high)) == _reference_brackets((low,), (high,))
 
 
 class TestCriticalIntervals:
@@ -311,3 +402,38 @@ class TestRelativePseudoComplement:
             if leq(c, r):
                 continue
             assert not leq(meet(a, c), b)
+
+
+class TestAgainstThreePassReference:
+    """The one-loop builder against the three-pass reference above."""
+
+    def test_exhaustive_bounded(self, e5):
+        u = B(5)
+        for b in e5:
+            # a ray and the interval it leaves inside {0..4} name the same irreducible
+            crits = (critical_intervals(b, u), critical_intervals(b, UNBOUNDED))
+            for a in e5:
+                assert _checked(relative_pseudo_complement(a, b, u)) == _reference_rpc(a, b, u), (a, b)
+                for crit in crits:
+                    s = _witnessed(crit, a)
+                    assert _checked(meet_of_irreducibles(s, u)) == _reference_meet_of_irreducibles(s, u), s
+
+    def test_unbounded_materializes_to_bounded(self, e5):
+        u = B(5)
+        for b in e5:
+            for a in e5:
+                got = _checked(relative_pseudo_complement(a, b, UNBOUNDED))
+                assert got == _reference_rpc(a, b, UNBOUNDED), (a, b)
+                if not (a.is_top or b.is_top):
+                    assert got.materialize(5) == relative_pseudo_complement(a, b, u).to_antichain(), (a, b)
+
+    @given(dense_windows())
+    def test_dense_unbounded(self, case):
+        n, a, b = case
+        got = _checked(relative_pseudo_complement(a, b, UNBOUNDED))
+        assert got == _reference_rpc(a, b, UNBOUNDED)
+        assert got.materialize(n) == _checked(relative_pseudo_complement(a, b, B(n))).to_antichain()
+        # the witnessed critical intervals over Z include the rays
+        s = _witnessed(critical_intervals(b, UNBOUNDED), a)
+        assert _checked(meet_of_irreducibles(s, UNBOUNDED)) == _reference_meet_of_irreducibles(s, UNBOUNDED)
+        assert _checked(meet_of_irreducibles(s, B(n))) == _reference_meet_of_irreducibles(s, B(n))
