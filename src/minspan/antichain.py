@@ -259,20 +259,12 @@ class GeneralAntichain:
         return self.core
 
     def materialize(self, n: int) -> Antichain:
-        """Expand the rays within {0..n-1} into a finite antichain.
-
-        The core lies strictly between the rays, so the low ray's
-        singletons, the core and the high ray's singletons follow each other
-        in normal form.
-        """
+        """Expand the rays within {0..n-1} into a finite antichain."""
         _at_least(n, 1, "materialize", "n")
         if self.is_top:
             return TOP
         self.core._check_fits(n)
-        lefts, rights = self.core._lefts, self.core._rights
-        low = range(0 if self.low_ray is None else min(self.low_ray, n - 1) + 1)
-        high = range(n if self.high_ray is None else max(self.high_ray, 0), n)
-        return Antichain._cols((*low, *lefts, *high), (*low, *rights, *high))
+        return _expand_rays(self.low_ray, self.core._lefts, self.core._rights, self.high_ray, n)
 
     def __str__(self) -> str:
         if self.is_top:
@@ -284,6 +276,20 @@ class GeneralAntichain:
         if self.high_ray is not None:
             parts.append(f"[x] for x ≥ {self.high_ray}…")
         return "{" + ", ".join(parts) + "}" if parts else "0"
+
+
+def _expand_rays(
+    low_ray: int | None, lefts: Iterable[int], rights: Iterable[int], high_ray: int | None, n: int
+) -> Antichain:
+    """The low ray's singletons, the core and the high ray's singletons, the rays clamped to {0..n-1}.
+
+    Unchecked: the core must lie strictly between the rays and inside
+    {0..n-1}, so the three runs follow each other in normal form.
+    """
+    # conditional expressions, as min and max cost a call each and this runs once per result
+    low = range(0 if low_ray is None else low_ray + 1 if low_ray < n else n)
+    high = range(n if high_ray is None else high_ray if high_ray > 0 else 0, n)
+    return Antichain._cols((*low, *lefts, *high), (*low, *rights, *high))
 
 
 def _natural_key(e: ExtendedInterval) -> tuple[float, float]:

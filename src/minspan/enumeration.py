@@ -3,9 +3,10 @@
 The lattice over {0..n-1} has C(n+1) + 1 elements (Catalan plus one for the
 top). The generator lists them by growing antichains left to right, in
 time linear in each element's member count, since each element copies both
-columns of the scan; rank histograms and the exact poset width
-(maximum antichain of the lattice itself, via minimum chain cover and
-bipartite matching) are built on top of the stream.
+columns of the scan. Rank histograms are built on top of the stream. The
+exact poset width (maximum antichain of the lattice itself, via minimum
+chain cover and bipartite matching) compares the elements' lower sets,
+read as bitmasks from the oracle's per-n cache, so the two share one rule.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterator
 from .antichain import TOP, Antichain
 from .intervals import _at_least
 from .operators import rank
+from .oracle import _lattice_masks
 
 __all__ = [
     "enumerate_lattice",
@@ -122,9 +124,8 @@ def width(n: int) -> int:
     _at_least(n, 0, "width", "n")
     if n > WIDTH_BOUND:
         raise ValueError(f"width({n}) exceeds the supported bound {WIDTH_BOUND}")
-    elements = list(enumerate_lattice(n))
-    count = len(elements)
-    masks = [_downset_mask(a, n) for a in elements]
+    masks = _lattice_masks(n)
+    count = len(masks)
     ranks = [mask.bit_count() for mask in masks]  # a rank counts the singletons below, one bit each
     by_rank: dict[int, list[int]] = {}
     for idx, r in enumerate(ranks):
@@ -140,26 +141,6 @@ def width(n: int) -> int:
                 if mask & ~masks[other] == 0:
                     adjacency[idx].append(other)
     return count - _hopcroft_karp(adjacency, count)
-
-
-def _downset_mask(a: Antichain, n: int) -> int:
-    """Bitmask over all intervals of {0..n-1}, plus a top bit, of the lower set."""
-    num = n * (n + 1) // 2
-    if a.is_top:
-        return (1 << (num + 1)) - 1
-    mask = 0
-    for member_left, member_right in zip(a._lefts, a._rights):
-        for left in range(0, member_left + 1):
-            base = _interval_bit(left, n)
-            lo, hi = max(member_right, left), n - 1
-            # contiguous run of bits for [left..lo] .. [left..hi]
-            mask |= ((1 << (hi - lo + 1)) - 1) << (base + (lo - left))
-    return mask
-
-
-def _interval_bit(left: int, n: int) -> int:
-    # intervals ordered [0..0],[0..1],..,[0..n-1],[1..1],..: start of the row
-    return left * n - left * (left - 1) // 2
 
 
 def _hopcroft_karp(adjacency: list[list[int]], count: int) -> int:

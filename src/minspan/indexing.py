@@ -43,8 +43,8 @@ class PositionalIndex:
     A term -> document-ids map, in insertion order, lets search visit only
     the documents that hold a term. ``load_jsonl`` builds it once its
     records are in; an index built document by document builds it when it
-    is first read, so writing an index never pays for it. Once built,
-    ``_store`` keeps it current.
+    is first read, so writing an index never pays for it. Storing a
+    document drops the map, and the next read builds it again.
     """
 
     __slots__ = ("_docs", "_by_term")
@@ -66,9 +66,7 @@ class PositionalIndex:
         if doc_id in self._docs:
             raise ValueError(f"duplicate document id: {doc_id!r}")
         self._docs[doc_id] = (length, MappingProxyType(postings))
-        if self._by_term is not None:
-            for term in postings:
-                self._by_term[term].append(doc_id)
+        self._by_term = None
 
     def _terms(self) -> defaultdict[str, list[str]]:
         if self._by_term is None:

@@ -10,7 +10,10 @@ and the lattice enumeration with the rest of the library.
 A lower set over {0..n-1} is kept as an int mask, bit i standing for the
 i-th interval of :func:`all_intervals` and one bit past them for the empty
 interval, which only the top element's lower set holds. Inclusion is then
-``a & ~b == 0``, union OR and intersection AND.
+``a & ~b == 0``, union OR and intersection AND, and a rank is a bit count.
+An operand with a member outside {0..n-1} is rejected. The masks of every
+lattice element are cached per n; ``enumeration.width`` compares the same
+masks.
 """
 
 from __future__ import annotations
@@ -58,13 +61,17 @@ def _numbering(n: int) -> tuple[tuple[Interval, ...], dict[Interval, int]]:
 
 
 def _mask(a: Antichain, n: int) -> int:
-    """The lower set of ``a``: every interval of {0..n-1} containing a member, plus ∅ for top."""
+    """The lower set of ``a``: every interval of {0..n-1} containing a member, plus ∅ for top.
+
+    Raises ValueError when a member of ``a`` lies outside {0..n-1}.
+    """
     ivs, above = _numbering(n)
     if a.is_top:
         return (1 << (len(ivs) + 1)) - 1
+    a._check_fits(n)
     mask = 0
     for m in a.intervals:
-        mask |= above.get(m, 0)
+        mask |= above[m]
     return mask
 
 
@@ -155,11 +162,10 @@ def oracle_rank(a: Antichain, n: int) -> int:
     """Number of join-irreducible elements dominated by a.
 
     These are the singleton antichains {I}, plus the top element itself
-    when a is the top.
+    when a is the top: one bit each of a's lower set, whose ∅ bit only
+    top holds.
     """
-    if a.is_top:
-        return n * (n + 1) // 2 + 1
-    return len(downset(a, n).members)
+    return _mask(a, n).bit_count()
 
 
 def _members(a: Antichain) -> tuple[Interval | None, ...]:

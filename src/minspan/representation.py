@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import islice
 
-from .antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
+from .antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain, _expand_rays
 from .intervals import EMPTY, ExtendedInterval, Universe, _at_least
 
 __all__ = [
@@ -178,17 +178,13 @@ def _meet(
     per consecutive pair (from the later interval's low anchor to the
     earlier one's high anchor) and the singletons from the last high anchor
     on: no intervals give top, the full line bottom. Over {0..n-1} the
-    outer singletons are listed; over Z they stay rays.
+    rays are expanded into singletons as ``materialize`` expands them;
+    over Z they stay rays.
     """
     if not low_anchors:
         return GeneralAntichain._trusted(None, TOP, None)
-    low, high = low_anchors[0], high_anchors[-1]
     lefts: list[int] = []
     rights: list[int] = []
-    if n is not None and low is not None:
-        lefts += range(low + 1)
-        rights += range(low + 1)
-        low = None
     # the anchors between the first and the last are finite
     for left, right in zip(islice(low_anchors, 1, None), high_anchors):
         if left < right:
@@ -197,8 +193,7 @@ def _meet(
         else:
             lefts += range(right, left + 1)
             rights += range(right, left + 1)
-    if n is not None and high is not None:
-        lefts += range(high, n)
-        rights += range(high, n)
-        high = None
+    low, high = low_anchors[0], high_anchors[-1]
+    if n is not None:
+        return GeneralAntichain._trusted(None, _expand_rays(low, lefts, rights, high, n), None)
     return GeneralAntichain._trusted(low, Antichain._cols(lefts, rights), high)

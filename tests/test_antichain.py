@@ -190,6 +190,8 @@ class TestConstructionPaths:
         # built afresh: no cached copy is handed out twice
         assert value.intervals is not ivs
         assert_normal(value)
+        assert all(p in value for p in pairs) and (-1, -1) not in value
+        assert eval(repr(value)) == value
 
     def test_constructor_messages(self):
         cases = {
@@ -262,6 +264,7 @@ class TestDisplay:
         assert str(BOTTOM) == "0"
         assert str(TOP) == "{∅}"
         assert str(ac((0, 1), (2, 2))) == "{[0..1], [2..2]}"
+        assert eval(repr(TOP)) is TOP and (0, 0) not in TOP
 
     def test_top_has_no_intervals(self):
         with pytest.raises(ValueError):
@@ -309,6 +312,11 @@ class TestGeneralAntichain:
     def test_materialize_ray_below_universe(self):
         g = GeneralAntichain(-1, BOTTOM, None)
         assert g.materialize(4) == BOTTOM
+
+    def test_materialize_ray_covering_universe(self):
+        # a ray reaching past the far edge holds every position of {0..n-1}
+        assert GeneralAntichain(7, BOTTOM, None).materialize(4) == coatom(4)
+        assert GeneralAntichain(None, BOTTOM, -2).materialize(4) == coatom(4)
 
     def test_materialize_core_outside_universe_rejected(self):
         for core in (ac((3, 6)), ac((-1, 0)), ac((1, 2), (4, 5))):

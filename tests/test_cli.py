@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR
+from minspan import cli
 from minspan.cli import main
+from minspan.operators import meet
+from minspan.oracle import oracle_bound
 
 RHYME = DATA_DIR / "rhyme.txt"
 # a fresh interpreter that imports minspan from this checkout
@@ -169,6 +172,13 @@ class TestCheck:
     def test_negative_samples_rejected(self, capsys, samples):
         assert main(["check", "--n", "3", "--samples", samples]) == 2
         assert capsys.readouterr().err == "minspan: error: --samples must be nonnegative\n"
+
+    def test_mismatch_is_reported(self, capsys, monkeypatch):
+        # a wrong closed form: join and meet agree only where a == b
+        monkeypatch.setitem(cli._CHECKS, "join", lambda a, b, n: meet(a, b) == oracle_bound(a, b, n, "join"))
+        code, out = run_cli(capsys, "check", "--n", "3", "--ops", "leq,join")
+        assert code == 2
+        assert out.splitlines() == ["leq: ok (225 pairs)", "join: FAIL (210 mismatches over 225 pairs)", "MISMATCH"]
 
     def test_unknown_op(self, capsys):
         code, _ = run_cli(capsys, "check", "--n", "3", "--ops", "frobnicate")

@@ -84,6 +84,21 @@ class TestOracleOps:
             )
         )
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda a: downset(a, 4), id="downset"),
+            pytest.param(lambda a: oracle_leq(a, BOTTOM, 4), id="leq"),
+            pytest.param(lambda a: oracle_bound(a, TOP, 4, "meet"), id="bound"),
+            pytest.param(lambda a: oracle_residual(BOTTOM, a, 4, "implies"), id="residual"),
+            pytest.param(lambda a: oracle_rank(a, 4), id="rank"),
+        ],
+    )
+    def test_rejects_members_outside_universe(self, call):
+        # as rank and critical_intervals do, not dropping [3..9] as if absent
+        with pytest.raises(ValueError, match="^antichain does not fit in a universe of size 4$"):
+            call(Antichain([(3, 9)]))
+
     def test_rank_examples(self):
         assert oracle_rank(ac((1, 2)), 4) == 4
         assert oracle_rank(BOTTOM, 4) == 0

@@ -34,6 +34,8 @@ class TestStructure:
     def test_and_collects_children(self):
         got = parse_query("pease AND porridge AND (hot OR cold)")
         assert got == And((Term("pease"), Term("porridge"), Or((Term("hot"), Term("cold")))))
+        # trailing whitespace ends the input
+        assert parse_query("(a AND b)\t\n") == And((Term("a"), Term("b")))
 
     def test_containment_binds_tighter_than_or(self):
         got = parse_query("a >> b OR c")
@@ -69,6 +71,7 @@ class TestStructure:
 
     def test_terms_lowercased(self):
         assert parse_query("Hot") == Term("hot")
+        assert parse_query("a  ") == Term("a")
 
     def test_left_associativity(self):
         got = parse_query("a MINUS b MINUS c")
