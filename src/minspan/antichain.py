@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import itemgetter, le, lt
 from typing import Iterable, Iterator, NoReturn
 
-from .intervals import EMPTY, FULL, ExtendedInterval, Interval, _at_least
+from .intervals import EMPTY, FULL, ExtendedInterval, Interval, _at_least, _int_ends
 
 __all__ = ["Antichain", "BOTTOM", "TOP", "GeneralAntichain", "CriticalSet"]
 
@@ -210,6 +210,9 @@ class GeneralAntichain:
 
     def __post_init__(self) -> None:
         low, high = self.low_ray, self.high_ray
+        _int_ends((low, high), "GeneralAntichain", "rays")
+        if not isinstance(self.core, Antichain):
+            raise ValueError(f"GeneralAntichain needs an Antichain core, got {self.core!r}")
         if self.core.is_top:
             if low is not None or high is not None:
                 raise ValueError("top value carries no rays")
@@ -312,6 +315,8 @@ class CriticalSet:
 
     def __post_init__(self) -> None:
         es = self.elements
+        if not (isinstance(es, tuple) and all(isinstance(e, ExtendedInterval) for e in es)):
+            raise ValueError(f"CriticalSet needs a tuple of ExtendedInterval, got {es!r}")
         if any(e == EMPTY or e == FULL for e in es) and len(es) != 1:
             raise ValueError("empty/full interval must be the sole element")
         for prev, cur in zip(es, es[1:]):

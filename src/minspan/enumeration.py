@@ -94,7 +94,7 @@ class LevelProfile:
 
     def __post_init__(self) -> None:
         _at_least(self.n, 1, "LevelProfile", "n")
-        if len(self.counts) != 2 + self.n * (self.n + 1) // 2:
+        if len(self.counts) != rank(TOP, self.n) + 1:
             raise ValueError("profile length must equal the lattice height")
 
     @property
@@ -108,7 +108,7 @@ class LevelProfile:
 
 def level_profile(n: int) -> LevelProfile:
     _at_least(n, 1, "level_profile", "n")
-    counts = [0] * (2 + n * (n + 1) // 2)
+    counts = [0] * (rank(TOP, n) + 1)
     for a in enumerate_lattice(n):
         counts[rank(a, n)] += 1
     return LevelProfile(n, tuple(counts))

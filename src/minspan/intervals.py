@@ -28,6 +28,17 @@ def _at_least(value: object, least: int, owner: str, name: str) -> None:
         raise ValueError(f"{owner} needs {want}, got {value!r}")
 
 
+def _int_ends(ends: tuple[object, ...], owner: str, what: str, open_ok: bool = True) -> None:
+    """The one rule for finite extremes, rays and anchors: each an int, or None where ``open_ok``.
+
+    Bools pass, as they do in ``Antichain``.
+    """
+    for end in ends:
+        if not (isinstance(end, int) or open_ok and end is None):
+            kinds = "ints or None" if open_ok else "ints"
+            raise ValueError(f"{owner} needs {what} that are {kinds}, got {ends!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Universe:
     """Either ``Universe.bounded(n)`` with positions {0..n-1}, or ``UNBOUNDED``."""
@@ -89,6 +100,7 @@ class ExtendedInterval:
     empty: bool = False
 
     def __post_init__(self) -> None:
+        _int_ends((self.left, self.right), "ExtendedInterval", "extremes")
         if self.empty:
             if self.left is not None or self.right is not None:
                 raise ValueError("empty extended interval carries no endpoints")

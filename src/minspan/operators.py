@@ -5,6 +5,11 @@ greedy merges over normal forms, so each runs in time linear
 in the sizes of its operands (plus output, where the output can be
 larger). The top element behaves as the antichain {∅}: the empty interval
 is a subset of everything and a superset of nothing.
+
+Top and bottom are the only elements with empty columns, so each binary
+operator settles both in one branch, under the test ``not (a._lefts and
+b._lefts)``, before its sweep. The span operators (meet, ordered meet,
+block) share that branch: top is their identity, and bottom absorbs.
 """
 
 from __future__ import annotations
@@ -41,6 +46,11 @@ _INF = float("inf")
 _END = ((_INF, _INF),)
 
 
+def _span_edge(a: Antichain, b: Antichain) -> Antichain:
+    """A span operator on top or bottom: top is the identity, and bottom absorbs."""
+    return b if a._top else a if b._top else BOTTOM
+
+
 def leq(a: Antichain, b: Antichain) -> bool:
     """Order of the lattice: every interval of a contains some interval of b.
 
@@ -62,12 +72,9 @@ def join(a: Antichain, b: Antichain) -> Antichain:
     side ends in a sentinel past every interval, so once one side runs out
     the rest of the other is kept.
     """
-    if a.is_top or b.is_top:
-        return TOP
-    if b.is_bottom:
-        return a
-    if a.is_bottom:
-        return b
+    if not (a._lefts and b._lefts):
+        # top absorbs, and bottom is the identity
+        return TOP if a._top or b._top else a if a._lefts else b
     lefts: list[int] = []
     rights: list[int] = []
     xs, ys = chain(zip(a._lefts, a._rights), _END), chain(zip(b._lefts, b._rights), _END)
@@ -103,13 +110,9 @@ def meet(a: Antichain, b: Antichain) -> Antichain:
     done, each later interval of b that starts before a's last left extreme
     adds its own span, and the first that does not adds at most one more.
     """
-    if a.is_top:
-        return b
-    if b.is_top:
-        return a
+    if not (a._lefts and b._lefts):
+        return _span_edge(a, b)
     xl, yl, yr = a._lefts, b._lefts, b._rights
-    if not xl or not yl:
-        return BOTTOM
     ny = len(yl)
     # below every left extreme: until both sides have shown an interval, each
     # span starts at or before `last` and is not kept
@@ -151,12 +154,9 @@ def meet(a: Antichain, b: Antichain) -> Antichain:
 
 def pseudo_difference(a: Antichain, b: Antichain) -> Antichain:
     """Smallest c with a <= b v c: the intervals of a containing no interval of b."""
-    if b.is_top:
-        return BOTTOM
-    if a.is_top:
-        return TOP
-    if a.is_bottom or b.is_bottom:
-        return a
+    if not (a._lefts and b._lefts):
+        # every interval, the empty one too, contains the empty one; bottom holds no witness
+        return BOTTOM if b._top else a
     bl, br = b._lefts, b._rights
     nb = len(bl)
     j = 0
@@ -178,10 +178,8 @@ def symmetric_difference(a: Antichain, b: Antichain) -> Antichain:
 
 def intersection(a: Antichain, b: Antichain) -> Antichain:
     """Plain set intersection of the two antichains, as interval sets."""
-    if a.is_top and b.is_top:
-        return TOP
-    if a.is_top or b.is_top:
-        return BOTTOM
+    if not (a._lefts and b._lefts):
+        return TOP if a._top and b._top else BOTTOM
     # an antichain holds at most one interval per left extreme
     right_of = dict(zip(b._lefts, b._rights))
     keep = list(map(eq, map(right_of.get, a._lefts), a._rights))
@@ -257,26 +255,23 @@ def _containing(a: Antichain, b: Antichain, keep_found: bool, strict: bool) -> A
 def _contained_in(a: Antichain, b: Antichain, keep_found: bool) -> Antichain:
     """The members of a that lie inside some interval of b, or if not ``keep_found`` the others.
 
-    The interval of b that starts last at or before a member's left extreme
-    ends last among those, so it alone decides.
+    The mirror of :func:`_containing`: of the intervals of b that end at or
+    after a member's right extreme, the first also starts first. The member
+    lies inside some interval of b exactly when that first one starts at or
+    before its left extreme.
     """
-    if a.is_bottom:
-        return BOTTOM
-    if b.is_bottom:
-        return BOTTOM if keep_found else a
-    if a.is_top or b.is_top:
-        # the empty interval lies inside everything, and nothing lies inside it
-        return a if a.is_top == keep_found else BOTTOM
-    bl, br = b._lefts, b._rights
-    nb = len(bl)
+    if not (a._lefts and b._lefts):
+        # the empty interval lies inside every interval, and nothing lies inside it
+        found = a._top and not b.is_bottom
+        return a if found == keep_found else BOTTOM
+    heads = chain(zip(b._lefts, b._rights), _END)
+    start, end = next(heads)
     lefts: list[int] = []
     rights: list[int] = []
-    j = -1
     for left, right in zip(a._lefts, a._rights):
-        while j + 1 < nb and bl[j + 1] <= left:
-            j += 1
-        found = j >= 0 and br[j] >= right
-        if found == keep_found:
+        while end < right:
+            start, end = next(heads)
+        if (start <= left) == keep_found:
             lefts.append(left)
             rights.append(right)
     return Antichain._cols(lefts, rights)
@@ -298,10 +293,8 @@ def ordered_meet(a: Antichain, b: Antichain) -> Antichain:
 
     The top element is the identity on both sides.
     """
-    if a.is_top:
-        return b
-    if b.is_top:
-        return a
+    if not (a._lefts and b._lefts):
+        return _span_edge(a, b)
     bl, br = b._lefts, b._rights
     nb = len(bl)
     j = 0
@@ -327,10 +320,8 @@ def block(a: Antichain, b: Antichain) -> Antichain:
     Used for phrase adjacency; the spans of exactly-adjacent pairs always
     form an antichain. The top element is the identity on both sides.
     """
-    if a.is_top:
-        return b
-    if b.is_top:
-        return a
+    if not (a._lefts and b._lefts):
+        return _span_edge(a, b)
     bl, br = b._lefts, b._rights
     nb = len(bl)
     j = 0

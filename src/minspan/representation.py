@@ -26,8 +26,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import islice
 
-from .antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain, _expand_rays
-from .intervals import EMPTY, ExtendedInterval, Universe, _at_least
+from .antichain import TOP, Antichain, CriticalSet, GeneralAntichain, _expand_rays
+from .intervals import EMPTY, ExtendedInterval, Universe, _at_least, _int_ends
 
 __all__ = [
     "complement_singletons",
@@ -63,6 +63,7 @@ def bracket(low_anchor: int, high_anchor: int) -> Antichain:
     between r and l already straddles both anchors, giving a run of
     singletons. This is the meet of the two ray complements.
     """
+    _int_ends((low_anchor, high_anchor), "bracket", "anchors", open_ok=False)
     return _meet((None, low_anchor), (high_anchor, None), None).core
 
 
@@ -135,12 +136,9 @@ def relative_pseudo_complement(
     if n is not None:
         a._check_fits(n)
         b._check_fits(n)
-    if a.is_top:
-        return GeneralAntichain._trusted(None, b, None)
-    if b.is_top or a.is_bottom:
-        return GeneralAntichain._trusted(None, TOP, None)
-    if b.is_bottom:
-        return GeneralAntichain._trusted(None, BOTTOM, None)
+    if not (a._lefts and b._lefts):
+        # bottom implies top; top implies b, and so does any other a when b is top or bottom
+        return GeneralAntichain._trusted(None, TOP if a.is_bottom else b, None)
 
     al, ar, bl, br = a._lefts, a._rights, b._lefts, b._rights
     # the anchors of the witnessed critical intervals of b; the rays serve

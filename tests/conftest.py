@@ -111,6 +111,7 @@ SCALING_OPS = {
     "leq": lambda a, b, refined, shifted: leq(a, refined),
     "pseudo_difference": lambda a, b, refined, shifted: pseudo_difference(a, shifted),
     "containing": lambda a, b, refined, shifted: filter_containment(a, b, "containing"),
+    "contained_in": lambda a, b, refined, shifted: filter_containment(a, b, "contained_in"),
     "not_strictly_containing": lambda a, b, refined, shifted: strict_containment(
         a, b, "not_strictly_containing"
     ),

@@ -379,7 +379,7 @@ SCALING_BOUND = 2.0 * GROWTH
 
 
 def test_linear_scaling():
-    """Timing check of the linear-time claims of five bulk operators.
+    """Timing check of the linear-time claims of the bulk operators in SCALING_OPS.
 
     Each operator runs on operands of 25 000 and of 200 000 intervals. The
     ratio compared is the median, over 7 interleaved gc-off rounds, of the

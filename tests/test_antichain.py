@@ -39,6 +39,10 @@ class TestInterval:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Interval(3, 2)
+        with pytest.raises(ValueError, match=r"^bad extended interval \[3\.\.1\]$"):
+            ExtendedInterval(3, 1)
+        with pytest.raises(ValueError, match="^empty extended interval carries no endpoints$"):
+            ExtendedInterval(None, 3, empty=True)
 
     def test_containment_and_length(self):
         assert Interval(0, 4).contains(Interval(1, 2))
@@ -265,10 +269,15 @@ class TestDisplay:
         assert str(TOP) == "{∅}"
         assert str(ac((0, 1), (2, 2))) == "{[0..1], [2..2]}"
         assert eval(repr(TOP)) is TOP and (0, 0) not in TOP
+        assert str(EMPTY) == "∅" and str(FULL) == "(←..→)"
+        assert str(Universe.bounded(3)) == "{0..2}" and str(UNBOUNDED) == "Z"
 
     def test_top_has_no_intervals(self):
         with pytest.raises(ValueError):
             TOP.intervals
+        with pytest.raises(ValueError, match="^top antichain has no concrete intervals$"):
+            len(TOP)
+        assert Antichain.bottom() is BOTTOM and Antichain.top() is TOP
 
 
 class TestGeneralAntichain:
@@ -293,6 +302,8 @@ class TestGeneralAntichain:
             GeneralAntichain(3, ac((3, 6)), None)
         with pytest.raises(ValueError, match="high ray"):
             GeneralAntichain(None, ac((4, 8)), 8)
+        with pytest.raises(ValueError, match="^top value carries no rays$"):
+            GeneralAntichain(0, TOP, None)
 
     def test_rays_covering_line_rejected(self):
         with pytest.raises(ValueError):
@@ -361,7 +372,53 @@ class TestCriticalSet:
         with pytest.raises(ValueError):
             CriticalSet((ExtendedInterval.left_ray(3), ExtendedInterval.finite(1, 2)))
         # overlapping but incomparable pairs are fine
-        CriticalSet((ExtendedInterval.finite(0, 5), ExtendedInterval.finite(1, 6)))
+        s = CriticalSet((ExtendedInterval.finite(0, 5), ExtendedInterval.finite(1, 6)))
+        assert len(s) == 2 and str(s) == "{[0..5], [1..6]}"
+
+
+# the public value constructors of the representation and bracket, each
+# with an input it rejects and the whole message that names that input
+BAD_REPRESENTATION_INPUT = {
+    "float extreme": (
+        lambda: ExtendedInterval(1.5, 3),
+        "ExtendedInterval needs extremes that are ints or None, got (1.5, 3)",
+    ),
+    "str extreme": (
+        lambda: ExtendedInterval("a", 3),
+        "ExtendedInterval needs extremes that are ints or None, got ('a', 3)",
+    ),
+    "str ray": (
+        lambda: GeneralAntichain(None, BOTTOM, "x"),
+        "GeneralAntichain needs rays that are ints or None, got (None, 'x')",
+    ),
+    "float ray": (
+        lambda: GeneralAntichain(1.5, BOTTOM, None),
+        "GeneralAntichain needs rays that are ints or None, got (1.5, None)",
+    ),
+    "list core": (
+        lambda: GeneralAntichain(None, [(1, 2)], None),
+        "GeneralAntichain needs an Antichain core, got [(1, 2)]",
+    ),
+    "tuple elements": (
+        lambda: CriticalSet(((1, 2), (4, 5))),
+        "CriticalSet needs a tuple of ExtendedInterval, got ((1, 2), (4, 5))",
+    ),
+    "float anchor": (lambda: bracket(1.5, 3), "bracket needs anchors that are ints, got (1.5, 3)"),
+    "str anchor": (lambda: bracket("a", 3), "bracket needs anchors that are ints, got ('a', 3)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_REPRESENTATION_INPUT)
+def test_representation_input_rejected_and_named(case):
+    call, message = BAD_REPRESENTATION_INPUT[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_representation_input_takes_bools():
+    # bools pass, as they do in Antichain
+    assert ExtendedInterval(True, 3).left == 1 and bracket(False, True) == Antichain([(0, 1)])
+    assert GeneralAntichain(False, BOTTOM, None).low_ray == 0
 
 
 @st.composite

@@ -168,6 +168,11 @@ class TestCheck:
         assert code == 0
         assert out.splitlines()[-1] == "OK"
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_n_rejected(self, capsys, n):
+        assert main(["check", "--n", n]) == 2
+        assert capsys.readouterr().err == "minspan: error: --n must be positive\n"
+
     @pytest.mark.parametrize("samples", ["-1", "-5"])
     def test_negative_samples_rejected(self, capsys, samples):
         assert main(["check", "--n", "3", "--samples", samples]) == 2

@@ -77,6 +77,11 @@ class TestEvaluate:
         with pytest.raises(KeyError):
             run(rhyme_index, "hot", doc="nope")
 
+    def test_query_text_is_no_node(self):
+        # evaluate takes a parsed query; text goes through parse_query first
+        with pytest.raises(TypeError, match="^not a query node: 'a'$"):
+            evaluate("a", build_index([("d", "a")]), "d")
+
     def test_phrase(self, rhyme_index):
         assert run(rhyme_index, '"pease porridge"') == ac(
             (0, 1), (3, 4), (6, 7), (31, 32), (34, 35)

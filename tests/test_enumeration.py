@@ -8,6 +8,7 @@ from conftest import ac, assert_normal, stack_room
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.enumeration import (
     WIDTH_BOUND,
+    LevelProfile,
     cardinality,
     enumerate_lattice,
     level_profile,
@@ -116,6 +117,8 @@ class TestLevelProfile:
     def test_length_is_height(self):
         for n in range(1, 9):
             assert len(level_profile(n).counts) == 2 + n * (n + 1) // 2
+        with pytest.raises(ValueError, match="^profile length must equal the lattice height$"):
+            LevelProfile(2, (1, 2))
 
 
 class TestWidth:

@@ -191,6 +191,10 @@ class TestContainmentFilters:
     def test_contained_in(self):
         got = filter_containment(ac((0, 1), (3, 3)), ac((3, 4)), Containment.CONTAINED_IN)
         assert got == ac((3, 3))
+        # the first interval of b ending at or after a member decides it; past b, none does
+        a, b = ac((0, 1), (3, 3), (5, 9), (13, 14)), ac((0, 0), (2, 4), (6, 12))
+        assert filter_containment(a, b, Containment.CONTAINED_IN) == ac((3, 3))
+        assert filter_containment(a, b, Containment.NOT_CONTAINED_IN) == ac((0, 1), (5, 9), (13, 14))
 
     def test_containing(self):
         got = filter_containment(ac((0, 5)), ac((1, 2)), "containing")

@@ -25,6 +25,9 @@ from minspan.representation import coatom, critical_intervals, relative_pseudo_c
 class TestDownSet:
     def test_bottom_is_empty(self):
         assert downset(BOTTOM, 5).members == frozenset()
+        # the top's lower set holds the empty interval, which is no Interval
+        with pytest.raises(ValueError, match="^the lower set of the top element is not a set of intervals$"):
+            downset(TOP, 3)
 
     def test_supersets_of_one_singleton(self):
         assert downset(Antichain([(0, 0)]), 2).members == frozenset(
@@ -72,6 +75,8 @@ class TestOracleOps:
     def test_residual_examples(self):
         assert oracle_residual(TOP, ac((1, 1)), 3, "implies") == ac((1, 1))
         assert oracle_residual(ac((1, 1)), ac((1, 1)), 3, "minus") == BOTTOM
+        with pytest.raises(ValueError, match="^kind must be implies or minus, not 'sup'$"):
+            oracle_residual(BOTTOM, BOTTOM, 3, "sup")
 
     def test_crit_examples(self):
         assert oracle_crit(BOTTOM, 4) == CriticalSet((ExtendedInterval.finite(0, 3),))
