@@ -22,9 +22,7 @@ from .antichain import Antichain
 from .indexing import PositionalIndex
 from .intervals import Interval, _at_least
 from .operators import (
-    _FILTERS,
-    Containment,
-    StrictContainment,
+    _sweep,
     block,
     join,
     meet,
@@ -60,10 +58,6 @@ def _run(steps: list[_Step], postings: Mapping[str, tuple[int, ...]]) -> Anticha
     return values[0]
 
 
-# the containment modes that keep nothing when their right side is empty
-_EMPTY_WITH_RIGHT = (Containment.CONTAINING, Containment.CONTAINED_IN, StrictContainment.STRICTLY_CONTAINING)
-
-
 def _over_all(op: Callable[[Antichain, Antichain], Antichain], *values: Antichain) -> Antichain:
     """``op`` folded over the children of an AND or OR with more than two."""
     return reduce(op, values)
@@ -72,10 +66,11 @@ def _over_all(op: Callable[[Antichain, Antichain], Antichain], *values: Antichai
 def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
     """The plan of ``ast`` and the terms that every document with a nonempty result contains.
 
-    AND, ``<``, ``++``, ``>>``, ``<<`` and ``>>>`` are empty when either side
-    is, so they require the union of their sides. MINUS, WITHIN, ``!>>``,
-    ``!<<`` and ``!>>>`` keep a subset of their left side, so they require
-    what it requires. OR requires only what all of its branches require.
+    AND, ``<``, ``++`` and the containment modes other than the ``not_``
+    ones are empty when either side is, so they require the union of their
+    sides. MINUS, WITHIN and the ``not_`` modes keep a subset of their left
+    side, so they require what it requires. OR requires only what all of its
+    branches require. A mode is found in the operators' table as given.
     A union is built in its largest side, so a k-word phrase compiles in
     near-linear time.
     """
@@ -101,8 +96,8 @@ def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
                 op, need = partial(within, k=n.k), sides[0]
             case q.ContainmentOp() | q.StrictContainmentOp():
                 # the mode's sweep, its (keep_found, strict) pair already bound
-                mode = (Containment if type(n) is q.ContainmentOp else StrictContainment)(n.mode)
-                op, need = _FILTERS[mode], _union(sides) if mode in _EMPTY_WITH_RIGHT else sides[0]
+                op = _sweep(n.mode)
+                need = sides[0] if n.mode.startswith("not_") else _union(sides)
         steps.append((op, arity, text))
         required[len(required) - arity :] = (need,)
     return steps, frozenset(required[0])

@@ -77,6 +77,10 @@ class PositionalIndex:
         return self._by_term
 
     def add_document(self, doc_id: str, text: str) -> None:
+        if not isinstance(doc_id, str):
+            raise ValueError(f"document id {doc_id!r} is not a string")
+        if not isinstance(text, str):
+            raise ValueError(f"text of document {doc_id!r} is {type(text).__name__}, not a string")
         words = _words(text)
         postings: defaultdict[str, list[int]] = defaultdict(list)
         for pos, term in enumerate(words):

@@ -198,28 +198,24 @@ class StrictContainment(str, Enum):
     NOT_STRICTLY_CONTAINING = "not_strictly_containing"
 
 
-def filter_containment(a: Antichain, b: Antichain, mode: Containment | str) -> Antichain:
+def filter_containment(a: Antichain, b: Antichain, mode: Containment | StrictContainment | str) -> Antichain:
     """Filter a by the existence of a witness in b.
 
-    ``containing`` keeps intervals of a that contain some interval of b,
-    ``contained_in`` those lying inside some interval of b; the ``not_``
-    modes keep the complement. The result is a subset of a, hence already an
-    antichain in normal form. ``not_containing`` is the pseudo-difference
-    a - b; each other mode is one sweep over a and b, ``containing`` the
-    one of :func:`_containing`.
+    ``mode`` is one of the six modes, a member of either enum or its value;
+    any other raises ``ValueError``. ``containing`` keeps the intervals of a
+    that contain some interval of b, ``strictly_containing`` those that
+    contain one other than themselves, ``contained_in`` those lying inside
+    one; each ``not_`` mode keeps the rest, and ``not_strictly_containing``
+    so keeps those that survive minimization in a v b. The result is a
+    subset of a, hence already an antichain in normal form.
+    ``not_containing`` is the pseudo-difference a - b; each other mode is
+    one sweep, that of :func:`_containing` or of :func:`_contained_in`.
+    ``strict_containment`` is this function under its earlier name.
     """
-    return _FILTERS[Containment(mode)](a, b)
+    return _sweep(mode)(a, b)
 
 
-def strict_containment(a: Antichain, b: Antichain, mode: StrictContainment | str) -> Antichain:
-    """Like the containing filters but with strict inclusion as the witness.
-
-    One sweep, that of ``containing`` (see :func:`_containing`), except that
-    an interval of b equal to the member is no witness. The intervals
-    ``not_strictly_containing`` keeps are those of a that survive
-    minimization in a v b.
-    """
-    return _FILTERS[StrictContainment(mode)](a, b)
+strict_containment = filter_containment
 
 
 def _containing(a: Antichain, b: Antichain, keep_found: bool, strict: bool) -> Antichain:
@@ -277,8 +273,9 @@ def _contained_in(a: Antichain, b: Antichain, keep_found: bool) -> Antichain:
     return Antichain._cols(lefts, rights)
 
 
-# the sweep of each mode, with its (keep_found, strict) pair bound in
-_FILTERS: dict[Containment | StrictContainment, Callable[[Antichain, Antichain], Antichain]] = {
+# the sweep of each mode, its (keep_found, strict) pair bound in; a member of
+# these str enums hashes and compares as its value, so either finds its mode
+_FILTERS: dict[str, Callable[[Antichain, Antichain], Antichain]] = {
     Containment.CONTAINING: partial(_containing, keep_found=True, strict=False),
     Containment.NOT_CONTAINING: pseudo_difference,
     Containment.CONTAINED_IN: partial(_contained_in, keep_found=True),
@@ -286,6 +283,14 @@ _FILTERS: dict[Containment | StrictContainment, Callable[[Antichain, Antichain],
     StrictContainment.STRICTLY_CONTAINING: partial(_containing, keep_found=True, strict=True),
     StrictContainment.NOT_STRICTLY_CONTAINING: partial(_containing, keep_found=False, strict=True),
 }
+
+
+def _sweep(mode: object) -> Callable[[Antichain, Antichain], Antichain]:
+    """The sweep of a containment mode; an unknown or unhashable mode raises ValueError."""
+    try:
+        return _FILTERS[mode]
+    except (KeyError, TypeError):
+        raise ValueError(f"{mode!r} is not a containment mode") from None
 
 
 def ordered_meet(a: Antichain, b: Antichain) -> Antichain:

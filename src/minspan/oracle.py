@@ -227,7 +227,6 @@ def oracle_filter(a: Antichain, b: Antichain, mode: str) -> Antichain:
     ``StrictContainment``: i contains j, i lies inside j, or i strictly
     contains j, for a member i of a and a witness j of b.
     """
-    mode = getattr(mode, "value", mode)
     negated = mode.startswith("not_")
     test = _WITNESS_TESTS[mode.removeprefix("not_")]
     return oracle_minimal(i for i in _members(a) if any(test(i, j) for j in _members(b)) != negated)

@@ -165,7 +165,7 @@ def antichains(allow_top: bool = False, **kwargs):
 
 
 VOCAB = ["a", "b", "c", "d"]
-_MODES = {
+MODE_TOKENS = {
     Containment.CONTAINING: ">>",
     Containment.NOT_CONTAINING: "!>>",
     Containment.CONTAINED_IN: "<<",
@@ -179,7 +179,7 @@ _SYMBOLS = {q.Or: "OR", q.And: "AND", q.Minus: "MINUS", q.OrderedMeet: "<", q.Bl
 def operator(ast: q.Query) -> str:
     """The query text of the operator of an inner node other than WITHIN."""
     if isinstance(ast, (q.ContainmentOp, q.StrictContainmentOp)):
-        return _MODES[ast.mode]
+        return MODE_TOKENS[ast.mode]
     return _SYMBOLS[type(ast)]
 
 

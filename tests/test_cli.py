@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -160,13 +161,28 @@ class TestCheck:
         assert code == 0
         lines = out.splitlines()
         assert lines[-1] == "OK"
-        assert any(line.startswith("leq: ok") for line in lines)
+        # the 15 elements of the n = 3 lattice make 225 pairs
+        assert "leq: ok (225 pairs)" in lines
+        assert "rank: ok (15 elements)" in lines
         assert any(line.startswith("implies: ok") for line in lines)
 
     def test_sampled(self, capsys):
         code, out = run_cli(capsys, "check", "--n", "5", "--ops", "leq,join,meet,minus", "--samples", "200")
         assert code == 0
-        assert out.splitlines()[-1] == "OK"
+        assert out.splitlines() == [f"{op}: ok (200 pairs)" for op in ("leq", "join", "meet", "minus")] + ["OK"]
+
+    def test_exhaustive_pairs_are_not_held(self, capsys):
+        # the 430 elements of the n = 6 lattice make 184,900 pairs, about
+        # 11 MiB as one list; made one at a time, they never add up
+        tracemalloc.start()
+        try:
+            code = main(["check", "--n", "6", "--ops", "rank"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == "rank: ok (430 elements)\nOK\n"
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_nonpositive_n_rejected(self, capsys, n):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VOCAB, ac, antichains, assert_normal, growth_ratios, query_asts, show, stack_room
+from conftest import MODE_TOKENS, VOCAB, ac, antichains, assert_normal, growth_ratios, query_asts, show, stack_room
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.engine import (
     SearchResult,
@@ -25,12 +26,15 @@ from minspan.engine import (
 from minspan.indexing import PositionalIndex, build_index
 from minspan.intervals import Interval
 from minspan.operators import (
+    Containment,
+    StrictContainment,
     block,
     filter_containment,
     join,
     meet,
     ordered_meet,
     pseudo_difference,
+    strict_containment,
 )
 from minspan.queries import parse_query
 from minspan import queries as q
@@ -316,6 +320,44 @@ class TestRanking:
         assert results == sorted(results, key=lambda r: (-r.score, r.doc_id))
 
 
+class TestContainmentModes:
+    """Each of the six modes means one thing to the public call and to the query language."""
+
+    LEFT = "(a AND b)"
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        return build_index([("d", " ".join(random.Random(3).choices("abc", k=60)))])
+
+    @pytest.mark.parametrize("right", ["c", "(b < a)", "(c OR (a AND c))"])
+    @pytest.mark.parametrize("as_value", [False, True])
+    @pytest.mark.parametrize("mode", list(MODE_TOKENS))
+    def test_public_call_matches_query(self, index, mode, as_value, right):
+        public = filter_containment if isinstance(mode, Containment) else strict_containment
+        left = run(index, self.LEFT, "d")
+        got = public(left, run(index, right, "d"), mode.value if as_value else mode)
+        assert got == run(index, f"{self.LEFT} {MODE_TOKENS[mode]} {right}", "d")
+
+    @pytest.mark.parametrize("right", ["c", "(b < a)"])
+    @pytest.mark.parametrize("mode", list(StrictContainment))
+    def test_one_function_takes_the_strict_modes(self, index, mode, right):
+        a, b = run(index, self.LEFT, "d"), run(index, right, "d")
+        assert filter_containment(a, b, mode.value) == filter_containment(a, b, mode) == strict_containment(a, b, mode)
+        assert filter_containment is strict_containment
+
+    @pytest.mark.parametrize("public", [filter_containment, strict_containment])
+    @pytest.mark.parametrize("mode", ["bogus", None, ["containing"]])
+    def test_bad_mode_is_named(self, public, mode):
+        with pytest.raises(ValueError, match=re.escape(repr(mode))):
+            public(ac((0, 1)), ac((0, 0)), mode)
+
+    @pytest.mark.parametrize("node", [q.ContainmentOp, q.StrictContainmentOp])
+    @pytest.mark.parametrize("mode", ["bogus", None, ["containing"]])
+    def test_bad_mode_in_a_built_node_is_named(self, index, node, mode):
+        with pytest.raises(ValueError, match=re.escape(repr(mode))):
+            evaluate(node(q.Term("a"), q.Term("b"), mode), index, "d")
+
+
 class TestRequiredTerms:
     @pytest.mark.parametrize(
         "text, required",
@@ -338,6 +380,13 @@ class TestRequiredTerms:
     )
     def test_rules(self, text, required):
         assert _compile(parse_query(text))[1] == required
+
+    @pytest.mark.parametrize("mode", list(MODE_TOKENS))
+    def test_built_node_with_a_plain_string_mode(self, mode):
+        node = q.ContainmentOp if isinstance(mode, Containment) else q.StrictContainmentOp
+        built = node(q.Term("a"), q.Term("b"), str(mode.value))
+        assert type(built.mode) is str
+        assert _compile(built)[1] == _compile(parse_query(f"a {MODE_TOKENS[mode]} b"))[1]
 
     @pytest.mark.parametrize("template, joiner", [('"{}"', " "), ("{}", " < ")])
     def test_compile_time_grows_near_linearly(self, template, joiner):

@@ -93,6 +93,21 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index([("a", "x"), ("a", "y")])
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ((5, "a b"), "document id 5 is not a string"),
+            ((None, "a b"), "document id None is not a string"),
+            ((["d"], "a b"), "document id ['d'] is not a string"),
+            (("d", 5), "text of document 'd' is int, not a string"),
+            (("d", b"a b"), "text of document 'd' is bytes, not a string"),
+        ],
+    )
+    def test_id_and_text_must_be_strings(self, doc, message):
+        # what the loader would reject is not stored either
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_index([doc])
+
 
 class TestClosedIndex:
     """Nothing outside the index can change the postings it checked."""
