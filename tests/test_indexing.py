@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from minspan.antichain import Antichain
 from minspan.engine import search
-from minspan.indexing import _TOKEN, PositionalIndex, _parse_record, _positions_ok, build_index, tokenize
+from minspan.indexing import _TOKEN, PositionalIndex, _parse_record, _positions_ok, _Shared, build_index, tokenize
 
 
 class TestTokenize:
@@ -229,15 +231,104 @@ class TestJsonl:
             '{"doc": "a", "length": 3, "postings": {"x": [0, 2], "y": [1, 1]}}',
             '{"doc": "a", "length": 3, "postings": {"x": [0], "y": [true]}}',
         ):
-            # the bad record follows a good one and a blank line
-            with pytest.raises(ValueError, match="^bad index record on line 3: "):
-                PositionalIndex.load_jsonl(io.StringIO(good + "\n" + bad + "\n"))
+            # the bad record follows a good one and a blank line, as text and as bytes
+            text = good + "\n" + bad + "\n"
+            for fh in (io.StringIO(text), io.BytesIO(text.encode())):
+                with pytest.raises(ValueError, match="^bad index record on line 3: "):
+                    PositionalIndex.load_jsonl(fh)
 
     def test_decrease_across_lists_loads(self):
         # the positions fall only from the end of one list to the start of the next
         record = '{"doc": "a", "length": 3, "postings": {"x": [2], "y": [0, 1]}}\n'
         index = PositionalIndex.load_jsonl(io.StringIO(record))
         assert index.docs["a"] == (3, {"x": (2,), "y": (0, 1)})
+
+
+def _plain_decode(line: str) -> object:
+    """``json.loads`` without a hook, one frame below the caller, as ``_parse_record`` calls it."""
+    return json.loads(line)
+
+
+class TestDeepRecords:
+    def test_loads_as_deep_as_the_decoder(self):
+        # an integer at the bottom of the deepest records json.loads still parses
+        def nested(depth: int) -> str:
+            return '{"doc": "a", "length": 1, "postings": {}, "extra": ' + "[" * depth + "7" + "]" * depth + "}"
+
+        # both calls are made from this frame, so they start at one stack depth
+        for deepest in range(sys.getrecursionlimit(), 0, -1):
+            try:
+                _plain_decode(nested(deepest))
+            except RecursionError:
+                continue
+            break
+        for depth in range(deepest - 4, deepest + 3):
+            try:
+                _parse_record(nested(depth), _Shared(int), _Shared(str))
+            except ValueError as exc:
+                assert str(exc) == "JSON nested too deeply"
+                assert depth > deepest
+            else:
+                assert depth <= deepest
+
+
+class TestSharedObjects:
+    """One load makes one str per term and one int per distinct integer literal."""
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_terms_and_positions_are_shared(self, rhyme_text, as_bytes):
+        # over 300 words, so that positions pass the interpreter's cached small ints
+        built = build_index([("a", rhyme_text * 9), ("b", "hot " + rhyme_text * 8), ("c", "")])
+        buf = io.StringIO()
+        built.dump_jsonl(buf)
+        text = buf.getvalue()
+        loaded = PositionalIndex.load_jsonl(io.BytesIO(text.encode()) if as_bytes else io.StringIO(text))
+        assert loaded == built
+        again = io.StringIO()
+        loaded.dump_jsonl(again)
+        assert again.getvalue() == text
+
+        (_, a), (_, b) = loaded.docs["a"], loaded.docs["b"]
+        assert next(t for t in a if t == "hot") is next(t for t in b if t == "hot")
+        # b is a shifted by one word: a's "cold" at 36 + 37k is b's "porridge"
+        cold, porridge = a["cold"], b["porridge"]
+        both = max(set(cold) & set(porridge))
+        assert both >= 256
+        assert cold[cold.index(both)] is porridge[porridge.index(both)]
+        terms = [t for _, postings in loaded.docs.values() for t in postings]
+        positions = [p for _, postings in loaded.docs.values() for ps in postings.values() for p in ps]
+        assert len({id(t) for t in terms}) == len(set(terms))
+        assert len({id(p) for p in positions}) == len(set(positions))
+
+
+_GOOD = '{"doc": "a", "length": 2, "postings": {"x": [0, 1]}}\n'
+_BAD = '{"doc": "b", "length": 1, "postings": {"x": [1]}}\n'
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("records, bad_line", [([_GOOD], None), ([_GOOD, _BAD, _GOOD], 2)])
+    def test_load_restores_collector_state(self, enabled, records, bad_line):
+        paused = []
+
+        def lines():
+            for line in records:
+                paused.append(not gc.isenabled())
+                yield line
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if bad_line is None:
+                PositionalIndex.load_jsonl(lines())
+            else:
+                with pytest.raises(ValueError, match=f"^bad index record on line {bad_line}: "):
+                    PositionalIndex.load_jsonl(lines())
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after is enabled
+        assert paused and all(paused)
 
 
 def _per_list_rule(doc_id, length, raw):
@@ -267,12 +358,14 @@ class TestLoaderDifferential:
         expected = _per_list_rule("d", length, raw)
         # the whole-record check is exact, so a good record never takes the per-term loop
         assert _positions_ok(list(raw.values()), length) == (expected is None)
-        if expected is None:
-            assert _parse_record(line) == ("d", length, {t: tuple(ps) for t, ps in raw.items()})
-        else:
-            with pytest.raises(ValueError) as info:
-                _parse_record(line)
-            assert str(info.value) == expected
+        for record in (line, line.encode()):
+            if expected is None:
+                parsed = _parse_record(record, _Shared(int), _Shared(str))
+                assert parsed == ("d", length, {t: tuple(ps) for t, ps in raw.items()})
+            else:
+                with pytest.raises(ValueError) as info:
+                    _parse_record(record, _Shared(int), _Shared(str))
+                assert str(info.value) == expected
 
 
 # the values the fuzzer puts into a good record: any JSON value, and small
