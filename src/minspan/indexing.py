@@ -6,7 +6,7 @@ import gc
 import json
 import re
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from functools import reduce
 from itertools import count, islice
 from operator import ge, iadd, itemgetter, lt
@@ -18,14 +18,23 @@ from .intervals import _at_least
 __all__ = ["tokenize", "PositionalIndex", "build_index"]
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+# every ASCII character but a letter or a digit -> a space
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum()})
 
 
 def _words(text: str) -> list[str]:
-    """The lowercased alphanumeric runs of text, in order.
+    r"""The lowercased alphanumeric runs of text, in order.
 
-    Each run is lowercased on its own: lowercasing the whole text first
-    would split runs, as "İ".lower() adds U+0307, which is no word character.
+    ASCII text takes one ``translate`` and one ``split``. Among ASCII
+    characters the regex's ``[^\W_]`` is exactly ``[A-Za-z0-9]``; the table
+    maps every other character to a space, and ASCII ``lower()`` maps a
+    letter to one letter, so the runs are the regex's runs, lowercased.
+    Other text keeps the regex, and each run is lowercased on its own:
+    lowercasing the whole text first would split runs, as "İ".lower() adds
+    U+0307, which is no word character.
     """
+    if text.isascii():
+        return text.translate(_ASCII_SEPARATORS).lower().split()
     return list(map(str.lower, _TOKEN.findall(text)))
 
 
@@ -85,8 +94,7 @@ class PositionalIndex:
         return self._by_term
 
     def add_document(self, doc_id: str, text: str) -> None:
-        if not isinstance(doc_id, str):
-            raise ValueError(f"document id {doc_id!r} is not a string")
+        _check_id(doc_id)
         if not isinstance(text, str):
             raise ValueError(f"text of document {doc_id!r} is {type(text).__name__}, not a string")
         words = _words(text)
@@ -113,7 +121,7 @@ class PositionalIndex:
     def dump_jsonl(self, fh: TextIO) -> None:
         for doc_id, (length, postings) in self._docs.items():
             # json writes the posting tuples as arrays
-            record = {"doc": doc_id, "length": length, "postings": dict(sorted(postings.items()))}
+            record = {"doc": doc_id, "length": length, "postings": {t: postings[t] for t in sorted(postings)}}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
     @classmethod
@@ -124,7 +132,7 @@ class PositionalIndex:
         and switched back on afterwards if it was on.
         """
         index = cls()
-        ints, terms = _Shared(int), _Shared(str)
+        ints, terms = _Ints(), _Terms()
         # paused, the collector makes one pass over the new postings after the
         # loop, not one per few hundred lists and tuples made in it, nor the
         # passes of the older generations over the index as it grows
@@ -145,23 +153,35 @@ class PositionalIndex:
         return index
 
 
-class _Shared(dict):
-    """Each key seen so far -> the one object made from it, so that equal values share one object.
+class _Ints(dict):
+    """Each integer literal seen so far -> its int, so that equal positions share one object.
 
-    Keyed by the text, not by the value, so nothing is sized by a position.
+    Keyed by the literal's text, not by the value, so nothing is sized by a position.
     """
 
-    __slots__ = ("_make",)
+    __slots__ = ()
 
-    def __init__(self, make: Callable[[str], object]) -> None:
-        self._make = make
-
-    def __missing__(self, key: str) -> object:
-        value = self[key] = self._make(key)
+    def __missing__(self, literal: str) -> int:
+        value = self[literal] = int(literal)
         return value
 
 
-def _parse_record(line: str | bytes, ints: _Shared, terms: _Shared) -> tuple[str, int, dict[str, tuple[int, ...]]]:
+class _Terms(dict):
+    """Each term seen so far -> itself, so that equal terms share one str.
+
+    A term is checked once per load, when it first enters: UTF-8 must encode
+    it, or no dump could write it back.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, term: str) -> str:
+        term.encode()
+        self[term] = term
+        return term
+
+
+def _parse_record(line: str | bytes, ints: _Ints, terms: _Terms) -> tuple[str, int, dict[str, tuple[int, ...]]]:
     """Check one record; its integers come from ``ints`` by literal and its terms from ``terms``."""
     try:
         record = json.loads(line, parse_int=ints.__getitem__)
@@ -175,8 +195,7 @@ def _parse_record(line: str | bytes, ints: _Shared, terms: _Shared) -> tuple[str
     if not isinstance(record, dict) or not record.keys() >= {"doc", "length", "postings"}:
         raise ValueError("not a JSON object with doc, length and postings")
     doc_id, length, raw = record["doc"], record["length"], record["postings"]
-    if not isinstance(doc_id, str):
-        raise ValueError(f"document id {doc_id!r} is not a string")
+    _check_id(doc_id)
     _at_least(length, 0, f"document {doc_id!r}", "length")
     if not isinstance(raw, dict):
         raise ValueError(f"postings of {doc_id!r} are not a JSON object")
@@ -188,7 +207,23 @@ def _parse_record(line: str | bytes, ints: _Shared, terms: _Shared) -> tuple[str
                 raise ValueError(f"positions of {term!r} in {doc_id!r} are not a nonempty list of integers")
             if ps[0] < 0 or ps[-1] >= length or not all(map(lt, ps, ps[1:])):
                 raise ValueError(f"bad positions for {term!r} in {doc_id!r}")
-    return doc_id, length, dict(zip(map(terms.__getitem__, raw), map(tuple, lists)))
+    try:
+        return doc_id, length, dict(zip(map(terms.__getitem__, raw), map(tuple, lists)))
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"term {exc.object!r} in {doc_id!r} is not encodable as UTF-8") from None
+
+
+def _check_id(doc_id: object) -> None:
+    """Reject an id that is not a string, or that UTF-8 cannot encode and so no dump can write.
+
+    A file name that is not UTF-8 decodes to such an id, with lone surrogates.
+    """
+    if not isinstance(doc_id, str):
+        raise ValueError(f"document id {doc_id!r} is not a string")
+    try:
+        doc_id.encode()
+    except UnicodeEncodeError:
+        raise ValueError(f"document id {doc_id!r} is not encodable as UTF-8") from None
 
 
 _first, _last = itemgetter(0), itemgetter(-1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -144,6 +145,16 @@ class TestIndexAndQuery:
         assert main(["index", str(RHYME), str(bad), "-o", str(tmp_path / "idx.jsonl")]) == 2
         assert capsys.readouterr().err.startswith(f"minspan: error: {bad} is not UTF-8: ")
         assert not (tmp_path / "idx.jsonl").exists()
+
+    def test_file_name_that_is_no_utf8_is_refused(self, capsys, tmp_path):
+        # the name decodes to the id "b\udcff.txt", which no dump could write
+        bad = tmp_path / os.fsdecode(b"b\xff.txt")
+        bad.write_text("pease porridge\n", encoding="utf-8")
+        idx = tmp_path / "idx.jsonl"
+        assert main(["index", str(RHYME), str(bad), "-o", str(idx)]) == 2
+        err = capsys.readouterr().err
+        assert err == "minspan: error: document id 'b\\udcff.txt' is not encodable as UTF-8\n"
+        assert not idx.exists()
 
 
 class TestEnum:

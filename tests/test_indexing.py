@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 
 from minspan.antichain import Antichain
 from minspan.engine import search
-from minspan.indexing import _TOKEN, PositionalIndex, _parse_record, _positions_ok, _Shared, build_index, tokenize
+from minspan.indexing import (
+    _TOKEN,
+    PositionalIndex,
+    _Ints,
+    _Terms,
+    _parse_record,
+    _positions_ok,
+    build_index,
+    tokenize,
+)
 
 
 class TestTokenize:
@@ -43,8 +52,12 @@ _TRICKY = st.sampled_from(["İ", "ß", "ẞ", "ǅ", "Σ", "_", "7", "٣", "²", 
 
 
 class TestWritePath:
+    # ASCII text takes translate and split, other text the regex
     @settings(max_examples=300)
-    @given(st.text(st.one_of(_TRICKY, st.characters()), max_size=40))
+    @given(
+        st.text(st.one_of(_TRICKY, st.characters()), max_size=40)
+        | st.text(st.characters(max_codepoint=127), max_size=40)
+    )
     def test_tokens_and_postings_match_reference(self, text):
         tokens = _match_tokens(text)
         assert tokenize(text) == tokens
@@ -57,6 +70,11 @@ class TestWritePath:
         assert list(postings) == list(grouped)
         assert all(type(ps) is tuple for ps in postings.values())
         assert {t: list(ps) for t, ps in postings.items()} == grouped
+
+    @pytest.mark.parametrize("c", map(chr, range(128)))
+    def test_each_ascii_character_as_the_regex(self, c):
+        for text in (c, f"a{c}b", f"{c}{c}Xy{c}"):
+            assert tokenize(text) == _match_tokens(text)
 
     def test_dump_bytes_match_reference_encoding(self):
         # terms out of order on file, and not ASCII
@@ -103,6 +121,8 @@ class TestBuildIndex:
             ((["d"], "a b"), "document id ['d'] is not a string"),
             (("d", 5), "text of document 'd' is int, not a string"),
             (("d", b"a b"), "text of document 'd' is bytes, not a string"),
+            # a file name that is not UTF-8 decodes to lone surrogates
+            (("b\udcff.txt", "a b"), "document id 'b\\udcff.txt' is not encodable as UTF-8"),
         ],
     )
     def test_id_and_text_must_be_strings(self, doc, message):
@@ -237,6 +257,23 @@ class TestJsonl:
                 with pytest.raises(ValueError, match="^bad index record on line 3: "):
                     PositionalIndex.load_jsonl(fh)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"doc": "x\\udcff", "length": 0, "postings": {}}', "document id 'x\\udcff' is not encodable as UTF-8"),
+            (
+                '{"doc": "x", "length": 1, "postings": {"\\udcff": [0]}}',
+                "term '\\udcff' in 'x' is not encodable as UTF-8",
+            ),
+        ],
+    )
+    def test_ids_and_terms_that_utf8_cannot_encode_rejected(self, bad, message):
+        # no dump could write them back
+        text = '{"doc": "ok", "length": 1, "postings": {"x": [0]}}\n' + bad + "\n"
+        for fh in (io.StringIO(text), io.BytesIO(text.encode())):
+            with pytest.raises(ValueError, match=f"^bad index record on line 2: {re.escape(message)}$"):
+                PositionalIndex.load_jsonl(fh)
+
     def test_decrease_across_lists_loads(self):
         # the positions fall only from the end of one list to the start of the next
         record = '{"doc": "a", "length": 3, "postings": {"x": [2], "y": [0, 1]}}\n'
@@ -264,7 +301,7 @@ class TestDeepRecords:
             break
         for depth in range(deepest - 4, deepest + 3):
             try:
-                _parse_record(nested(depth), _Shared(int), _Shared(str))
+                _parse_record(nested(depth), _Ints(), _Terms())
             except ValueError as exc:
                 assert str(exc) == "JSON nested too deeply"
                 assert depth > deepest
@@ -360,11 +397,11 @@ class TestLoaderDifferential:
         assert _positions_ok(list(raw.values()), length) == (expected is None)
         for record in (line, line.encode()):
             if expected is None:
-                parsed = _parse_record(record, _Shared(int), _Shared(str))
+                parsed = _parse_record(record, _Ints(), _Terms())
                 assert parsed == ("d", length, {t: tuple(ps) for t, ps in raw.items()})
             else:
                 with pytest.raises(ValueError) as info:
-                    _parse_record(record, _Shared(int), _Shared(str))
+                    _parse_record(record, _Ints(), _Terms())
                 assert str(info.value) == expected
 
 
