@@ -7,8 +7,11 @@ deterministic for a fixed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import random
+import stat
 import sys
 from collections.abc import Callable
 from itertools import product
@@ -118,10 +121,42 @@ def _cmd_index(args: argparse.Namespace) -> int:
         except UnicodeDecodeError as exc:
             raise ValueError(f"{p} is not UTF-8: {exc}") from None
     index = build_index(docs)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        index.dump_jsonl(fh)
+    _dump_whole(index, args.output)
     print(f"indexed {len(docs)} document(s) -> {args.output}")
     return 0
+
+
+def _dump_whole(index: PositionalIndex, path: str) -> None:
+    """Dump index to a file that takes the place of path only once the dump returns.
+
+    A new path or a regular file is written to a sibling temporary file,
+    which is then renamed over it. The temporary is opened with "x", so its
+    mode follows the umask as open() does, and it takes an existing file's
+    mode. On any error it is removed, and path is left as it was. An
+    existing path that is no regular file, such as /dev/null or a FIFO, is
+    written in place.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as fh:
+            index.dump_jsonl(fh)
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            index.dump_jsonl(fh)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _cmd_query(args: argparse.Namespace) -> int:

@@ -6,7 +6,8 @@ import gc
 import json
 import re
 from collections import defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from functools import reduce
 from itertools import count, islice
 from operator import ge, iadd, itemgetter, lt
@@ -57,18 +58,22 @@ class PositionalIndex:
     is first read, so writing an index never pays for it. Storing a
     document drops the map, and the next read builds it again.
 
-    A loaded index holds one ``str`` per term and one ``int`` per distinct
-    integer literal of its dump, each shared by every document of that load;
-    postings are tuples of those ints. At 300 documents of the benchmark's
-    corpus (seed 1) that is 11.7 MiB by ``tracemalloc``, against 24.0 MiB
-    with an object per occurrence. ``add_document`` shares nothing.
+    Postings are tuples of shared ints under shared term strs. A loaded
+    index holds one ``str`` per term and one ``int`` per distinct integer
+    literal of its dump, each shared by every document of that load. An
+    index keeps its own term table and list of position ints for
+    ``add_document``, so the documents it builds share one ``str`` per term
+    and one ``int`` per position; the list is as long as the longest
+    document and is never sized by a position value.
     """
 
-    __slots__ = ("_docs", "_by_term")
+    __slots__ = ("_docs", "_by_term", "_positions", "_term_table")
 
     def __init__(self) -> None:
         self._docs: dict[str, tuple[int, Mapping[str, tuple[int, ...]]]] = {}
         self._by_term: defaultdict[str, list[str]] | None = None
+        self._positions: list[int] = []
+        self._term_table: dict[str, str] = {}
 
     @property
     def docs(self) -> Mapping[str, tuple[int, Mapping[str, tuple[int, ...]]]]:
@@ -98,10 +103,18 @@ class PositionalIndex:
         if not isinstance(text, str):
             raise ValueError(f"text of document {doc_id!r} is {type(text).__name__}, not a string")
         words = _words(text)
+        positions = self._positions
+        if len(words) > len(positions):
+            positions += range(len(positions), len(words))
         postings: defaultdict[str, list[int]] = defaultdict(list)
-        for pos, term in enumerate(words):
+        for pos, term in zip(positions, words):
             postings[term].append(pos)
-        self._store(doc_id, len(words), {t: tuple(ps) for t, ps in postings.items()})
+        # setdefault is C-level, where a __missing__ as in _Terms would run
+        # Python per new term; [^\W_] matches no surrogate, so UTF-8 encodes
+        # every term and none needs the loader's check
+        table = self._term_table
+        terms = map(table.setdefault, postings, postings)
+        self._store(doc_id, len(words), dict(zip(terms, map(tuple, postings.values()))))
 
     def doc_ids(self) -> list[str]:
         return list(self._docs)
@@ -122,7 +135,8 @@ class PositionalIndex:
         for doc_id, (length, postings) in self._docs.items():
             # json writes the posting tuples as arrays
             record = {"doc": doc_id, "length": length, "postings": {t: postings[t] for t in sorted(postings)}}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            # strs, ints and tuples of ints: no container can hold itself
+            fh.write(json.dumps(record, ensure_ascii=False, check_circular=False) + "\n")
 
     @classmethod
     def load_jsonl(cls, fh: Iterable[str] | Iterable[bytes]) -> "PositionalIndex":
@@ -133,12 +147,7 @@ class PositionalIndex:
         """
         index = cls()
         ints, terms = _Ints(), _Terms()
-        # paused, the collector makes one pass over the new postings after the
-        # loop, not one per few hundred lists and tuples made in it, nor the
-        # passes of the older generations over the index as it grows
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with _collector_paused():
             for line_no, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -146,11 +155,25 @@ class PositionalIndex:
                     index._store(*_parse_record(line, ints, terms))
                 except ValueError as exc:
                     raise ValueError(f"bad index record on line {line_no}: {exc}") from exc
-        finally:
-            if enabled:
-                gc.enable()
         index._terms()
         return index
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, and switch it back on afterwards if it was on.
+
+    Paused, the collector makes one pass over the new postings afterwards,
+    not one per few hundred lists and tuples made meanwhile, nor the passes
+    of the older generations over the index as it grows.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _Ints(dict):
@@ -254,7 +277,9 @@ def _positions_ok(lists: list[object], length: int) -> bool:
 
 
 def build_index(docs: Iterable[tuple[str, str]]) -> PositionalIndex:
+    """Add each ``(doc_id, text)`` in order, with the cyclic garbage collector paused."""
     index = PositionalIndex()
-    for doc_id, text in docs:
-        index.add_document(doc_id, text)
+    with _collector_paused():
+        for doc_id, text in docs:
+            index.add_document(doc_id, text)
     return index

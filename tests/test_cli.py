@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +13,7 @@ import pytest
 from conftest import DATA_DIR
 from minspan import cli
 from minspan.cli import main
+from minspan.indexing import PositionalIndex
 from minspan.operators import meet
 from minspan.oracle import oracle_bound
 
@@ -155,6 +158,51 @@ class TestIndexAndQuery:
         err = capsys.readouterr().err
         assert err == "minspan: error: document id 'b\\udcff.txt' is not encodable as UTF-8\n"
         assert not idx.exists()
+
+    def test_failed_dump_leaves_the_previous_index(self, capsys, tmp_path, monkeypatch):
+        idx, new = tmp_path / "idx.jsonl", tmp_path / "new.jsonl"
+        assert main(["index", str(RHYME), "-o", str(idx)]) == 0
+        before = idx.read_bytes()
+        dump = PositionalIndex.dump_jsonl
+
+        def dump_first_line_then_fail(index, fh):
+            buf = io.StringIO()
+            dump(index, buf)
+            fh.write(buf.getvalue().splitlines(keepends=True)[0])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(PositionalIndex, "dump_jsonl", dump_first_line_then_fail)
+        capsys.readouterr()
+        for out in (idx, new):
+            assert main(["index", str(RHYME), "-o", str(out)]) == 2
+            assert capsys.readouterr().err == "minspan: error: no space left on device\n"
+        assert idx.read_bytes() == before
+        assert os.listdir(tmp_path) == ["idx.jsonl"]
+
+    def test_output_mode_follows_the_umask_and_an_existing_file(self, capsys, tmp_path):
+        idx = tmp_path / "idx.jsonl"
+        umask = os.umask(0o027)
+        try:
+            assert main(["index", str(RHYME), "-o", str(idx)]) == 0
+            assert stat.S_IMODE(idx.stat().st_mode) == 0o640
+            idx.chmod(0o600)
+            assert main(["index", str(RHYME), "-o", str(idx)]) == 0
+            assert stat.S_IMODE(idx.stat().st_mode) == 0o600
+        finally:
+            os.umask(umask)
+
+    def test_a_symlinked_output_keeps_its_link(self, capsys, tmp_path):
+        idx, link = tmp_path / "idx.jsonl", tmp_path / "link.jsonl"
+        idx.write_text("old\n", encoding="utf-8")
+        link.symlink_to(idx)
+        assert main(["index", str(RHYME), "-o", str(link)]) == 0
+        assert link.is_symlink()
+        assert idx.read_text(encoding="utf-8").startswith('{"doc": "rhyme.txt"')
+        assert sorted(os.listdir(tmp_path)) == ["idx.jsonl", "link.jsonl"]
+
+    def test_output_that_is_no_regular_file_is_written_in_place(self, capsys):
+        assert main(["index", str(RHYME), "-o", os.devnull]) == 0
+        assert os.path.exists(os.devnull)
 
 
 class TestEnum:

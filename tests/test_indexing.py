@@ -310,12 +310,33 @@ class TestDeepRecords:
 
 
 class TestSharedObjects:
-    """One load makes one str per term and one int per distinct integer literal."""
+    """An index holds one str per term and one int per position, whether built or loaded."""
+
+    @staticmethod
+    def _built(rhyme_text):
+        # over 300 words, so that positions pass the interpreter's cached small ints
+        return build_index([("a", rhyme_text * 9), ("b", "hot " + rhyme_text * 8), ("c", "")])
+
+    @staticmethod
+    def _assert_shared(index):
+        (_, a), (_, b) = index.docs["a"], index.docs["b"]
+        assert next(t for t in a if t == "hot") is next(t for t in b if t == "hot")
+        # b is a shifted by one word: a's "cold" at 36 + 37k is b's "porridge"
+        cold, porridge = a["cold"], b["porridge"]
+        both = max(set(cold) & set(porridge))
+        assert both >= 256
+        assert cold[cold.index(both)] is porridge[porridge.index(both)]
+        terms = [t for _, postings in index.docs.values() for t in postings]
+        positions = [p for _, postings in index.docs.values() for ps in postings.values() for p in ps]
+        assert len({id(t) for t in terms}) == len(set(terms))
+        assert len({id(p) for p in positions}) == len(set(positions))
+
+    def test_built_terms_and_positions_are_shared(self, rhyme_text):
+        self._assert_shared(self._built(rhyme_text))
 
     @pytest.mark.parametrize("as_bytes", [False, True])
     def test_terms_and_positions_are_shared(self, rhyme_text, as_bytes):
-        # over 300 words, so that positions pass the interpreter's cached small ints
-        built = build_index([("a", rhyme_text * 9), ("b", "hot " + rhyme_text * 8), ("c", "")])
+        built = self._built(rhyme_text)
         buf = io.StringIO()
         built.dump_jsonl(buf)
         text = buf.getvalue()
@@ -324,18 +345,7 @@ class TestSharedObjects:
         again = io.StringIO()
         loaded.dump_jsonl(again)
         assert again.getvalue() == text
-
-        (_, a), (_, b) = loaded.docs["a"], loaded.docs["b"]
-        assert next(t for t in a if t == "hot") is next(t for t in b if t == "hot")
-        # b is a shifted by one word: a's "cold" at 36 + 37k is b's "porridge"
-        cold, porridge = a["cold"], b["porridge"]
-        both = max(set(cold) & set(porridge))
-        assert both >= 256
-        assert cold[cold.index(both)] is porridge[porridge.index(both)]
-        terms = [t for _, postings in loaded.docs.values() for t in postings]
-        positions = [p for _, postings in loaded.docs.values() for ps in postings.values() for p in ps]
-        assert len({id(t) for t in terms}) == len(set(terms))
-        assert len({id(p) for p in positions}) == len(set(positions))
+        self._assert_shared(loaded)
 
 
 _GOOD = '{"doc": "a", "length": 2, "postings": {"x": [0, 1]}}\n'
@@ -366,6 +376,32 @@ class TestCollectorPause:
             (gc.enable if was else gc.disable)()
         assert after is enabled
         assert paused and all(paused)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("ids, duplicate", [(["a", "b"], None), (["a", "b", "a", "c"], "a")])
+    def test_build_restores_collector_state(self, enabled, ids, duplicate):
+        paused = []
+
+        def docs():
+            for doc_id in ids:
+                paused.append(not gc.isenabled())
+                yield doc_id, "pease porridge hot"
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if duplicate is None:
+                build_index(docs())
+            else:
+                with pytest.raises(ValueError, match=f"^duplicate document id: '{duplicate}'$"):
+                    build_index(docs())
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after is enabled
+        assert paused and all(paused)
+        # a duplicate stops the stream where it stands
+        assert len(paused) == (len(ids) if duplicate is None else ids.index(duplicate, 1) + 1)
 
 
 def _per_list_rule(doc_id, length, raw):
