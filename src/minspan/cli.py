@@ -18,7 +18,7 @@ from itertools import product
 from pathlib import Path
 
 from .antichain import Antichain
-from .engine import _plan, _result, format_score, search
+from .engine import _plan, _ranked, _row, format_score, search
 from .enumeration import cardinality, enumerate_lattice, level_profile, width
 from .indexing import PositionalIndex, build_index
 from .intervals import Universe
@@ -169,8 +169,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         # evaluate, score and snippet that one document alone
         steps, _ = _plan(args.query, args.snippets)
-        result = _result(steps, args.doc, index.docs[args.doc][1], args.snippets)
-        results = [result] if result else []
+        row = _row(steps, args.doc, index.docs[args.doc][1], args.snippets)
+        results = _ranked([row] if row else [])
     for r in results:
         fields = [r.doc_id]
         if args.score:

@@ -4,6 +4,8 @@ A term denotes the antichain of its occurrence positions; each query
 operator is interpreted by the corresponding antichain operator. A query is
 compiled once into a flat post-order plan, each operator with its mode or
 window bound, and one loop over one value stack runs the plan per document.
+Each match becomes one row of integers, scored and snippeted from its
+witness columns; rows rank by exact integer keys, then become results.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from bisect import bisect_left
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import repeat
+from functools import partial
 from math import lcm
-from operator import attrgetter, sub
+from operator import itemgetter
 
 from . import queries as q
 from .antichain import Antichain
@@ -33,9 +34,12 @@ from .operators import (
 
 __all__ = ["evaluate", "snippets", "score", "format_score", "SearchResult", "search"]
 
-# one plan entry per query node, in post-order: the operator and the number
-# of values it takes off the stack, or for a term no operator, 0 and its text
+# one plan entry per term or operator call, in post-order: the operator and the
+# number of values it takes off the stack, or for a term no operator, 0 and its text
 _Step = tuple[Callable[..., Antichain] | None, int, str | None]
+# one match: the sum of L // length over its witnesses, L the lcm of their
+# distinct lengths, the document id and the snippets
+_Row = tuple[int, int, str, tuple[Interval, ...]]
 
 
 def evaluate(ast: q.Query, index: PositionalIndex, doc_id: str) -> Antichain:
@@ -48,19 +52,16 @@ def evaluate(ast: q.Query, index: PositionalIndex, doc_id: str) -> Antichain:
 def _run(steps: list[_Step], postings: Mapping[str, tuple[int, ...]]) -> Antichain:
     values: list[Antichain] = []
     for op, arity, text in steps:
-        if arity:
-            values[-arity:] = (op(*values[-arity:]),)
+        if arity == 2:
+            values[-1] = op(values.pop(-2), values[-1])
+        elif arity:
+            values[-1] = op(values[-1])
         else:
             # the index checked its postings when they entered it and keeps
             # them read-only; a term's singletons have its postings as both columns
             p = postings.get(text, ())
             values.append(Antichain._cols(p, p))
     return values[0]
-
-
-def _over_all(op: Callable[[Antichain, Antichain], Antichain], *values: Antichain) -> Antichain:
-    """``op`` folded over the children of an AND or OR with more than two."""
-    return reduce(op, values)
 
 
 def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
@@ -83,9 +84,9 @@ def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
             case q.Term():
                 op, text, need = None, n.text, {n.text}
             case q.Or():
-                op, need = join if arity == 2 else partial(_over_all, join), set.intersection(*sides)
+                op, need = join, set.intersection(*sides)
             case q.And():
-                op, need = meet if arity == 2 else partial(_over_all, meet), _union(sides)
+                op, need = meet, _union(sides)
             case q.OrderedMeet():
                 op, need = ordered_meet, _union(sides)
             case q.Block():
@@ -98,7 +99,8 @@ def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
                 # the mode's sweep, its (keep_found, strict) pair already bound
                 op = _sweep(n.mode)
                 need = sides[0] if n.mode.startswith("not_") else _union(sides)
-        steps.append((op, arity, text))
+        # an AND or OR of n > 2 children folds the top two values n - 1 times
+        steps += [(op, 2, None)] * (arity - 1) if arity > 2 else [(op, arity, text)]
         required[len(required) - arity :] = (need,)
     return steps, frozenset(required[0])
 
@@ -120,49 +122,38 @@ def snippets(a: Antichain, k: int) -> list[Interval]:
     _at_least(k, 0, "snippets", "k")
     if a.is_top:
         raise ValueError("the top element has no snippet intervals")
-    return _snippets(a, _lengths(a), k)
+    return list(_cut(a._lefts, a._rights, _lengths(a._lefts, a._rights), k))
 
 
 def score(a: Antichain) -> Fraction:
-    """Sum of inverse witness lengths, as an exact rational.
-
-    The inverse lengths are summed over the least common multiple of the
-    distinct lengths in integers, so one Fraction is made.
-    """
+    """Sum of inverse witness lengths: one exact Fraction over the lcm of the lengths."""
     if a.is_top:
         raise ValueError("the top element is not scoreable")
-    return _score(_lengths(a))
-
-
-def _lengths(a: Antichain) -> list[int]:
-    """The length of each witness of ``a``, in left order."""
-    return list(map(sub, a._rights, map((-1).__add__, a._lefts)))
-
-
-def _score(lengths: list[int]) -> Fraction:
+    lengths = _lengths(a._lefts, a._rights)
     common = lcm(*set(lengths))
     return Fraction(sum(map(common.__floordiv__, lengths)), common)
 
 
-def _snippets(a: Antichain, lengths: list[int], k: int) -> list[Interval]:
+def _lengths(lefts: tuple[int, ...], rights: tuple[int, ...]) -> list[int]:
+    """The length of each witness, in left order."""
+    return [right - left + 1 for left, right in zip(lefts, rights)]
+
+
+def _cut(lefts: tuple[int, ...], rights: tuple[int, ...], lengths: list[int], k: int) -> tuple[Interval, ...]:
     if k < 1:
-        return []
-    lefts, rights = a._lefts, a._rights
-    kept_lefts: list[int] = []
-    kept_rights: list[int] = []
-    # the intervals are in left order and the sort is stable, so ties stay left first
+        return ()
+    # the indexes of the kept witnesses, in left order. Both extremes rise
+    # with the index, so only a kept neighbour can overlap a new witness; the
+    # sort is stable, so ties stay left first
+    kept: list[int] = []
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        left, right = lefts[i], rights[i]
-        at = bisect_left(kept_lefts, left)
-        if at < len(kept_lefts) and kept_lefts[at] <= right:
+        at = bisect_left(kept, i)
+        if at < len(kept) and lefts[kept[at]] <= rights[i] or at and rights[kept[at - 1]] >= lefts[i]:
             continue
-        if at > 0 and kept_rights[at - 1] >= left:
-            continue
-        kept_lefts.insert(at, left)
-        kept_rights.insert(at, right)
-        if len(kept_lefts) == k:
+        kept.insert(at, i)
+        if len(kept) == k:
             break
-    return list(map(tuple.__new__, repeat(Interval), zip(kept_lefts, kept_rights)))
+    return tuple([tuple.__new__(Interval, (lefts[i], rights[i])) for i in kept])
 
 
 def format_score(value: Fraction, places: int = 4) -> str:
@@ -187,27 +178,21 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
     """Evaluate a query on every document, rank by score, attach k snippets.
 
     Documents with an empty result are dropped; ties rank by document id.
-    Documents that lack a term every match needs are skipped before the
-    query is evaluated on them, which leaves the results unchanged: only
-    the documents holding the rarest required term are visited at all.
+    Documents lacking a term every match needs are skipped unevaluated, so
+    only those holding the rarest required term are visited. Each match is
+    ranked as a row of integers, and made a ``SearchResult`` once ranked.
     """
     steps, required = _plan(query_text, k)
     docs = index.docs
     # the shortest of the index's own lists, which search only reads
     by_term = index._terms()
     candidates = min((by_term.get(t, ()) for t in required), key=len) if required else docs
-    results: list[SearchResult] = []
+    rows: list[_Row] = []
     for doc_id in candidates:
         postings = docs[doc_id][1]
-        if required <= postings.keys() and (result := _result(steps, doc_id, postings, k)):
-            results.append(result)
-    # two stable sorts: by score, highest first, and ties by document id. The
-    # score key is an exact integer, the score's numerator over the lcm of all
-    # the denominators, so equal scores get equal keys
-    common = lcm(*(r.score.denominator for r in results))
-    results.sort(key=attrgetter("doc_id"))
-    results.sort(key=lambda r: r.score.numerator * (common // r.score.denominator), reverse=True)
-    return results
+        if required <= postings.keys() and (row := _row(steps, doc_id, postings, k)):
+            rows.append(row)
+    return _ranked(rows)
 
 
 def _plan(query_text: str, k: int) -> tuple[list[_Step], frozenset[str]]:
@@ -215,9 +200,22 @@ def _plan(query_text: str, k: int) -> tuple[list[_Step], frozenset[str]]:
     return _compile(q.parse_query(query_text))
 
 
-def _result(steps: list[_Step], doc_id: str, postings: Mapping[str, tuple[int, ...]], k: int) -> SearchResult | None:
+def _row(steps: list[_Step], doc_id: str, postings: Mapping[str, tuple[int, ...]], k: int) -> _Row | None:
+    """The ranking row of one document, or None when the query is empty there."""
     value = _run(steps, postings)
-    if value.is_bottom:
+    lefts, rights = value._lefts, value._rights
+    if not lefts:
         return None
-    lengths = _lengths(value)
-    return SearchResult(doc_id, _score(lengths), tuple(_snippets(value, lengths, k)))
+    lengths = _lengths(lefts, rights)
+    common = lcm(*set(lengths))
+    return sum(map(common.__floordiv__, lengths)), common, doc_id, _cut(lefts, rights, lengths, k)
+
+
+def _ranked(rows: list[_Row]) -> list[SearchResult]:
+    """The results of ``rows``, by score, highest first, and ties by document id."""
+    # two stable sorts. A row's score is total / L, and L divides M, the lcm
+    # of every row's L, so total * (M // L) is the score times M, exactly
+    common = lcm(*map(itemgetter(1), rows))
+    rows.sort(key=itemgetter(2))
+    rows.sort(key=lambda row: row[0] * (common // row[1]), reverse=True)
+    return [SearchResult(doc_id, Fraction(total, length), cut) for total, length, doc_id, cut in rows]

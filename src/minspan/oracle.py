@@ -4,8 +4,9 @@ Everything here is computed straight from definitions: lower sets, set
 inclusion, exhaustive scans over all intervals of a bounded universe or all
 lattice elements, and for the retrieval operators every pair of members.
 Deliberately slow and deliberately independent of the closed-form
-operators, so the two can check each other. Shares only the value types
-and the lattice enumeration with the rest of the library.
+operators, so the two can check each other. Shares only the value types,
+the query nodes with their post-order walk, and the lattice enumeration
+with the rest of the library.
 
 A lower set over {0..n-1} is kept as an int mask, bit i standing for the
 i-th interval of :func:`all_intervals` and one bit past them for the empty
@@ -18,10 +19,11 @@ masks.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import queries as q
 from .antichain import TOP, Antichain, CriticalSet
 from .intervals import EMPTY, ExtendedInterval, Interval
 
@@ -38,6 +40,7 @@ __all__ = [
     "oracle_spans",
     "oracle_filter",
     "oracle_within",
+    "oracle_query",
 ]
 
 
@@ -235,3 +238,38 @@ def oracle_filter(a: Antichain, b: Antichain, mode: str) -> Antichain:
 def oracle_within(a: Antichain, k: int) -> Antichain:
     """The members of a spanning at most k positions."""
     return oracle_minimal(i for i in _members(a) if i is None or i.length <= k)
+
+
+def oracle_query(ast: q.Query, postings: Mapping[str, Iterable[int]], n: int) -> Antichain:
+    """The minimal witnesses of ``ast`` in a document whose positions lie in {0..n-1}.
+
+    ``postings`` maps each term of the document to its positions. The walk
+    follows ``queries.postorder`` with one stack of values: a term is the
+    antichain of its singletons, ``OR`` and ``AND`` fold the lower-set join
+    and meet over {0..n-1}, ``MINUS`` keeps the members of its left side
+    that contain no member of its right, and the containment modes,
+    ``<``, ``++`` and ``WITHIN`` are ``oracle_filter``, ``oracle_spans`` and
+    ``oracle_within``.
+    """
+    values: list[Antichain] = []
+    for node, arity in q.postorder(ast):
+        operands = values[len(values) - arity :]
+        del values[len(values) - arity :]
+        match node:
+            case q.Term():
+                value = oracle_minimal(Interval(p, p) for p in postings.get(node.text, ()))
+            case q.Or() | q.And():
+                kind = "join" if isinstance(node, q.Or) else "meet"
+                value = operands[0]
+                for other in operands[1:]:
+                    value = oracle_bound(value, other, n, kind)
+            case q.Minus():
+                value = oracle_filter(*operands, "not_containing")
+            case q.ContainmentOp() | q.StrictContainmentOp():
+                value = oracle_filter(*operands, node.mode)
+            case q.OrderedMeet() | q.Block():
+                value = oracle_spans(*operands, "ordered" if isinstance(node, q.OrderedMeet) else "block")
+            case q.Within():
+                value = oracle_within(*operands, node.k)
+        values.append(value)
+    return values[0]

@@ -57,6 +57,10 @@ class TestIndexAndQuery:
         code, out = run_cli(capsys, "query", str(idx), "--q", "hot", "--doc", "rhyme.txt", "--score")
         assert code == 0
         assert out == "rhyme.txt\t3.0000\n"
+        # snippets print as intervals, not as the tuples they equal
+        code, out = run_cli(capsys, "query", str(idx), "--q", "hot", "--doc", "rhyme.txt", "--snippets", "2")
+        assert code == 0
+        assert out == "rhyme.txt\t[2..2] [17..17]\n"
         code = main(["query", str(idx), "--q", "hot", "--doc", "other"])
         assert code == 2
         assert capsys.readouterr().err == "minspan: error: unknown document id: 'other'\n"

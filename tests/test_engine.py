@@ -16,7 +16,8 @@ from minspan.engine import (
     SearchResult,
     _compile,
     _plan,
-    _result,
+    _ranked,
+    _row,
     evaluate,
     format_score,
     score,
@@ -36,6 +37,7 @@ from minspan.operators import (
     pseudo_difference,
     strict_containment,
 )
+from minspan.oracle import oracle_query
 from minspan.queries import parse_query
 from minspan import queries as q
 
@@ -404,9 +406,17 @@ class TestRequiredTerms:
 
 # each document draws its words from a random subset of the vocabulary, so
 # most queries name a term that some document lacks
+MAX_WORDS = 16
 documents = st.sets(st.sampled_from(VOCAB)).flatmap(
-    lambda words: st.lists(st.sampled_from(sorted(words)), max_size=16) if words else st.just([])
+    lambda words: st.lists(st.sampled_from(sorted(words)), max_size=MAX_WORDS) if words else st.just([])
 )
+
+
+def assert_result_types(results):
+    # SearchResult equality would pass an int score or plain tuples: Interval is a namedtuple
+    for r in results:
+        assert type(r.score) is Fraction and type(r.snippets) is tuple
+        assert all(type(iv) is Interval for iv in r.snippets)
 
 
 class TestPruning:
@@ -438,9 +448,33 @@ class TestPruning:
         index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(docs))
         results = search(index, text, k)
         steps, _ = _plan(text, k)
+        assert_result_types(results)
         for doc_id in index.doc_ids():
-            result = _result(steps, doc_id, index.docs[doc_id][1], k)
-            assert ([result] if result else []) == [r for r in results if r.doc_id == doc_id]
+            row = _row(steps, doc_id, index.docs[doc_id][1], k)
+            alone = _ranked([row] if row else [])
+            assert_result_types(alone)
+            assert alone == [r for r in results if r.doc_id == doc_id]
+
+
+class TestWholeQueryOracle:
+    @settings(max_examples=400)
+    @given(ast=query_asts(), docs=st.lists(documents, min_size=1, max_size=6))
+    def test_search_equals_oracle(self, ast, docs):
+        # each document's witnesses from the definitions, over lower sets of
+        # {0..MAX_WORDS-1}; the score and snippets from the witness list
+        index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(docs))
+        values = {doc_id: oracle_query(ast, postings, MAX_WORDS) for doc_id, (_, postings) in index.docs.items()}
+        scores = {
+            doc_id: sum((Fraction(1, iv.length) for iv in value.intervals), Fraction(0))
+            for doc_id, value in values.items()
+            if not value.is_bottom
+        }
+        ranked = sorted(scores, key=lambda doc_id: (-scores[doc_id], doc_id))
+        for k in range(4):
+            results = search(index, show(ast), k)
+            assert_result_types(results)
+            got = [(r.doc_id, r.score, list(r.snippets)) for r in results]
+            assert got == [(d, scores[d], reference_snippets(values[d], k)) for d in ranked]
 
 
 class TestResults:
