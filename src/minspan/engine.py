@@ -53,6 +53,7 @@ def _run(steps: list[_Step], postings: Mapping[str, tuple[int, ...]]) -> Anticha
     values: list[Antichain] = []
     for op, arity, text in steps:
         if arity == 2:
+            # arguments run left to right: pop(-2) takes the left operand, the right stays on top
             values[-1] = op(values.pop(-2), values[-1])
         elif arity:
             values[-1] = op(values[-1])
