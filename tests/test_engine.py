@@ -410,6 +410,10 @@ MAX_WORDS = 16
 documents = st.sets(st.sampled_from(VOCAB)).flatmap(
     lambda words: st.lists(st.sampled_from(sorted(words)), max_size=MAX_WORDS) if words else st.just([])
 )
+# at least half full, so that witnesses of different lengths overlap more often
+long_documents = st.sets(st.sampled_from(VOCAB), min_size=1).flatmap(
+    lambda words: st.lists(st.sampled_from(sorted(words)), min_size=MAX_WORDS // 2, max_size=MAX_WORDS)
+)
 
 
 def assert_result_types(results):
@@ -458,7 +462,7 @@ class TestPruning:
 
 class TestWholeQueryOracle:
     @settings(max_examples=400)
-    @given(ast=query_asts(), docs=st.lists(documents, min_size=1, max_size=6))
+    @given(ast=query_asts(), docs=st.lists(documents | long_documents, min_size=1, max_size=6))
     def test_search_equals_oracle(self, ast, docs):
         # each document's witnesses from the definitions, over lower sets of
         # {0..MAX_WORDS-1}; the score and snippets from the witness list
