@@ -8,13 +8,9 @@ import re
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
-from functools import reduce
-from itertools import count, islice
-from operator import ge, iadd, itemgetter, lt
+from itertools import count
 from types import MappingProxyType
 from typing import TextIO
-
-from .intervals import _at_least
 
 __all__ = ["tokenize", "PositionalIndex", "build_index"]
 
@@ -47,10 +43,12 @@ def tokenize(text: str) -> list[tuple[str, int]]:
 class PositionalIndex:
     """Per-document token counts and term -> strictly increasing position lists.
 
-    ``add_document`` and ``load_jsonl`` check what they store, and nothing
-    else can change it: ``docs`` is a read-only view from document id to
-    ``(length, postings)``, whose postings are read-only too. So search
-    trusts the postings and does not check them again.
+    ``add_document`` and ``load_jsonl`` build what they store from a
+    document's word sequence, and nothing else can change it: ``docs`` is a
+    read-only view from document id to ``(length, postings)``, whose
+    postings are read-only too. So a document's positions are always
+    ``0..length-1``, each held by exactly one term, and search trusts the
+    postings and does not check them again.
 
     A term -> document-ids map, in insertion order, lets search visit only
     the documents that hold a term. ``load_jsonl`` builds it once its
@@ -58,13 +56,10 @@ class PositionalIndex:
     is first read, so writing an index never pays for it. Storing a
     document drops the map, and the next read builds it again.
 
-    Postings are tuples of shared ints under shared term strs. A loaded
-    index holds one ``str`` per term and one ``int`` per distinct integer
-    literal of its dump, each shared by every document of that load. An
-    index keeps its own term table and list of position ints for
-    ``add_document``, so the documents it builds share one ``str`` per term
-    and one ``int`` per position; the list is as long as the longest
-    document and is never sized by a position value.
+    Postings are tuples of shared ints under shared term strs. An index
+    keeps its own term table and list of position ints, so the documents it
+    builds or loads share one ``str`` per term and one ``int`` per
+    position; the list is as long as the longest document.
     """
 
     __slots__ = ("_docs", "_by_term", "_positions", "_term_table")
@@ -84,12 +79,6 @@ class PositionalIndex:
             return NotImplemented
         return self._docs == other._docs
 
-    def _store(self, doc_id: str, length: int, postings: dict[str, tuple[int, ...]]) -> None:
-        if doc_id in self._docs:
-            raise ValueError(f"duplicate document id: {doc_id!r}")
-        self._docs[doc_id] = (length, MappingProxyType(postings))
-        self._by_term = None
-
     def _terms(self) -> defaultdict[str, list[str]]:
         if self._by_term is None:
             self._by_term = defaultdict(list)
@@ -102,19 +91,23 @@ class PositionalIndex:
         _check_id(doc_id)
         if not isinstance(text, str):
             raise ValueError(f"text of document {doc_id!r} is {type(text).__name__}, not a string")
-        words = _words(text)
+        self._add_words(doc_id, _words(text))
+
+    def _add_words(self, doc_id: str, words: list[str]) -> None:
+        """Store the document whose term at each position ``i`` is ``words[i]``."""
+        if doc_id in self._docs:
+            raise ValueError(f"duplicate document id: {doc_id!r}")
         positions = self._positions
         if len(words) > len(positions):
             positions += range(len(positions), len(words))
         postings: defaultdict[str, list[int]] = defaultdict(list)
         for pos, term in zip(positions, words):
             postings[term].append(pos)
-        # setdefault is C-level, where a __missing__ as in _Terms would run
-        # Python per new term; [^\W_] matches no surrogate, so UTF-8 encodes
-        # every term and none needs the loader's check
+        # setdefault is C-level, where a __missing__ would run Python per new term
         table = self._term_table
         terms = map(table.setdefault, postings, postings)
-        self._store(doc_id, len(words), dict(zip(terms, map(tuple, postings.values()))))
+        self._docs[doc_id] = (len(words), MappingProxyType(dict(zip(terms, map(tuple, postings.values())))))
+        self._by_term = None
 
     def doc_ids(self) -> list[str]:
         return list(self._docs)
@@ -130,29 +123,34 @@ class PositionalIndex:
         """Ids of the documents that hold term, in insertion order; empty when none."""
         return tuple(self._terms().get(term, ()))
 
-    # one JSON object per line: {"doc":, "length":, "postings": {term: [..]}}
+    # one JSON object per line: {"doc":, "words": "the document's terms in order"}
     def dump_jsonl(self, fh: TextIO) -> None:
         for doc_id, (length, postings) in self._docs.items():
-            # json writes the posting tuples as arrays
-            record = {"doc": doc_id, "length": length, "postings": {t: postings[t] for t in sorted(postings)}}
-            # strs, ints and tuples of ints: no container can hold itself
-            fh.write(json.dumps(record, ensure_ascii=False, check_circular=False) + "\n")
+            # every position 0..length-1 holds one term, so every slot is filled
+            words = [""] * length
+            for term, positions in postings.items():
+                for pos in positions:
+                    words[pos] = term
+            fh.write(json.dumps({"doc": doc_id, "words": " ".join(words)}, ensure_ascii=False) + "\n")
 
     @classmethod
     def load_jsonl(cls, fh: Iterable[str] | Iterable[bytes]) -> "PositionalIndex":
         """Read a dump from lines of text or of bytes; any bad record raises ValueError naming its line.
 
-        The cyclic garbage collector is paused while the records are read,
-        and switched back on afterwards if it was on.
+        Each record's words are split on whitespace, not tokenized again:
+        a tokenizer's term may not tokenize to itself, as "İ".lower() ends
+        in U+0307, which is no word character. So a hand-written word the
+        tokenizer would never make loads as it stands, and no query reaches
+        it. The cyclic garbage collector is paused while the records are
+        read, and switched back on afterwards if it was on.
         """
         index = cls()
-        ints, terms = _Ints(), _Terms()
         with _collector_paused():
             for line_no, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 try:
-                    index._store(*_parse_record(line, ints, terms))
+                    index._add_words(*_parse_record(line))
                 except ValueError as exc:
                     raise ValueError(f"bad index record on line {line_no}: {exc}") from exc
         index._terms()
@@ -176,64 +174,25 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-class _Ints(dict):
-    """Each integer literal seen so far -> its int, so that equal positions share one object.
-
-    Keyed by the literal's text, not by the value, so nothing is sized by a position.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, literal: str) -> int:
-        value = self[literal] = int(literal)
-        return value
-
-
-class _Terms(dict):
-    """Each term seen so far -> itself, so that equal terms share one str.
-
-    A term is checked once per load, when it first enters: UTF-8 must encode
-    it, or no dump could write it back.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, term: str) -> str:
-        term.encode()
-        self[term] = term
-        return term
-
-
-def _parse_record(line: str | bytes, ints: _Ints, terms: _Terms) -> tuple[str, int, dict[str, tuple[int, ...]]]:
-    """Check one record; its integers come from ``ints`` by literal and its terms from ``terms``."""
+def _parse_record(line: str | bytes) -> tuple[str, list[str]]:
+    """Check one record and split its words."""
     try:
-        record = json.loads(line, parse_int=ints.__getitem__)
+        record = json.loads(line)
     except RecursionError:
-        # each call of the hook takes a level or three of the recursion
-        # limit; without it, a record parses as deep as it ever did
-        try:
-            record = json.loads(line)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
-    if not isinstance(record, dict) or not record.keys() >= {"doc", "length", "postings"}:
-        raise ValueError("not a JSON object with doc, length and postings")
-    doc_id, length, raw = record["doc"], record["length"], record["postings"]
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(record, dict) or not record.keys() >= {"doc", "words"}:
+        if isinstance(record, dict) and "postings" in record:
+            raise ValueError("postings of an older index format; re-run minspan index to rebuild it")
+        raise ValueError("not a JSON object with doc and words")
+    doc_id, words = record["doc"], record["words"]
     _check_id(doc_id)
-    _at_least(length, 0, f"document {doc_id!r}", "length")
-    if not isinstance(raw, dict):
-        raise ValueError(f"postings of {doc_id!r} are not a JSON object")
-    lists = list(raw.values())
-    if not _positions_ok(lists, length):
-        # name the first bad term, as the whole-record check cannot
-        for term, ps in raw.items():
-            if not isinstance(ps, list) or not ps or set(map(type, ps)) != {int}:
-                raise ValueError(f"positions of {term!r} in {doc_id!r} are not a nonempty list of integers")
-            if ps[0] < 0 or ps[-1] >= length or not all(map(lt, ps, ps[1:])):
-                raise ValueError(f"bad positions for {term!r} in {doc_id!r}")
+    if not isinstance(words, str):
+        raise ValueError(f"words of {doc_id!r} are {type(words).__name__}, not a string")
     try:
-        return doc_id, length, dict(zip(map(terms.__getitem__, raw), map(tuple, lists)))
-    except UnicodeEncodeError as exc:
-        raise ValueError(f"term {exc.object!r} in {doc_id!r} is not encodable as UTF-8") from None
+        words.encode()
+    except UnicodeEncodeError:
+        raise ValueError(f"words of {doc_id!r} are not encodable as UTF-8") from None
+    return doc_id, words.split()
 
 
 def _check_id(doc_id: object) -> None:
@@ -247,33 +206,6 @@ def _check_id(doc_id: object) -> None:
         doc_id.encode()
     except UnicodeEncodeError:
         raise ValueError(f"document id {doc_id!r} is not encodable as UTF-8") from None
-
-
-_first, _last = itemgetter(0), itemgetter(-1)
-
-
-def _positions_ok(lists: list[object], length: int) -> bool:
-    """Whether every list is a nonempty, strictly increasing run of ints in [0, length).
-
-    The checks run over the whole record at once rather than per list. Each
-    decreasing or equal neighbour pair of the concatenated lists lies either
-    inside one list or across the boundary of two, so no list holds one
-    exactly when the concatenation has as many as its boundaries have.
-    """
-    if not set(map(type, lists)) <= {list} or not all(lists):
-        return False
-    flat = reduce(iadd, lists, [])
-    # type() and not isinstance(), so that bools are rejected
-    if not set(map(type, flat)) <= {int}:
-        return False
-    if not lists:
-        return True
-    firsts, lasts = list(map(_first, lists)), list(map(_last, lists))
-    return (
-        min(firsts) >= 0
-        and max(lasts) < length
-        and sum(map(ge, flat, islice(flat, 1, None))) == sum(map(ge, lasts, islice(firsts, 1, None)))
-    )
 
 
 def build_index(docs: Iterable[tuple[str, str]]) -> PositionalIndex:

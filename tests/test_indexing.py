@@ -12,16 +12,7 @@ from hypothesis import strategies as st
 
 from minspan.antichain import Antichain
 from minspan.engine import search
-from minspan.indexing import (
-    _TOKEN,
-    PositionalIndex,
-    _Ints,
-    _Terms,
-    _parse_record,
-    _positions_ok,
-    build_index,
-    tokenize,
-)
+from minspan.indexing import _TOKEN, PositionalIndex, _parse_record, build_index, tokenize
 
 
 class TestTokenize:
@@ -77,20 +68,14 @@ class TestWritePath:
             assert tokenize(text) == _match_tokens(text)
 
     def test_dump_bytes_match_reference_encoding(self):
-        # terms out of order on file, and not ASCII
-        text = (
-            '{"doc": "b", "length": 4, "postings": {"zeta": [3], "straße": [0, 2], "i\u0307stanbul": [1]}}\n'
-            '{"doc": "a", "length": 2, "postings": {"b": [1], "a": [0]}}\n'
-        )
-        index = PositionalIndex.load_jsonl(io.StringIO(text))
-        expected = "".join(
-            json.dumps({"doc": d, "length": n, "postings": {t: list(p[t]) for t in sorted(p)}}, ensure_ascii=False)
-            + "\n"
-            for d, (n, p) in index.docs.items()
-        )
+        # not ASCII, a term at several positions, and an empty document
+        index = build_index([("b", "Straße İstanbul straße zeta"), ("é", "b a"), ("empty", "")])
+        words = {"b": "straße i\u0307stanbul straße zeta", "é": "b a", "empty": ""}
+        expected = "".join(json.dumps({"doc": d, "words": w}, ensure_ascii=False) + "\n" for d, w in words.items())
         buf = io.StringIO()
         index.dump_jsonl(buf)
         assert buf.getvalue() == expected
+        assert expected.splitlines()[0] == '{"doc": "b", "words": "straße i\u0307stanbul straße zeta"}'
 
 
 class TestBuildIndex:
@@ -160,11 +145,14 @@ class TestClosedIndex:
             PositionalIndex(docs={"a": (1, {"x": (3, 1)})})
 
 
-def _round_trip(index: PositionalIndex) -> PositionalIndex:
+def _dump(index: PositionalIndex) -> str:
     buf = io.StringIO()
     index.dump_jsonl(buf)
-    buf.seek(0)
-    return PositionalIndex.load_jsonl(buf)
+    return buf.getvalue()
+
+
+def _round_trip(index: PositionalIndex) -> PositionalIndex:
+    return PositionalIndex.load_jsonl(io.StringIO(_dump(index)))
 
 
 def _vocabulary(index: PositionalIndex) -> list[str]:
@@ -219,70 +207,106 @@ class TestJsonl:
         assert loaded.docs == index.docs
         assert loaded == index
 
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.text(_TRICKY, max_size=3), st.text(_TRICKY, max_size=30)), max_size=5,
+                    unique_by=lambda doc: doc[0]))
+    def test_non_ascii_round_trip_is_exact(self, docs):
+        built = build_index(docs)
+        text = _dump(built)
+        loaded = PositionalIndex.load_jsonl(io.StringIO(text))
+        assert loaded == built
+        assert _dump(loaded) == text
+        assert PositionalIndex.load_jsonl(io.BytesIO(text.encode())) == built
+
+    def test_split_is_lossless(self):
+        # the loader splits the words on whitespace: that gives back each
+        # term whole, as no character a term can hold lowercases to any
+        chars = "".join(_TOKEN.findall("".join(map(chr, range(sys.maxunicode + 1)))))
+        assert len(chars) > 100_000
+        for c in chars:
+            assert c.lower().split() == [c.lower()], hex(ord(c))
+        # final sigma lowercases by context, to another non-space
+        assert chars.lower().split() == [chars.lower()]
+
     def test_deterministic_dump(self, rhyme_text):
         index = build_index([("rhyme", rhyme_text)])
-        bufs = []
-        for _ in range(2):
-            buf = io.StringIO()
-            index.dump_jsonl(buf)
-            bufs.append(buf.getvalue())
+        bufs = [_dump(index) for _ in range(2)]
         assert bufs[0] == bufs[1]
-        assert '"doc": "rhyme"' in bufs[0]
+        assert bufs[0].startswith('{"doc": "rhyme", "words": "pease porridge hot pease porridge cold pease ')
 
     def test_bad_records_rejected(self):
-        good = '{"doc": "ok", "length": 3, "postings": {"x": [0, 2]}}\n'
-        for bad in (
-            "not json",
-            '{"doc": "a"}',
-            "[1, 2]",
-            '{"doc": "a", "length": 2, "postings": {"x": [1, 1]}}',
-            '{"doc": "a", "length": 2, "postings": {"x": [5]}}',
-            '{"doc": "a", "length": 2, "postings": {"x": []}}',
-            '{"doc": "ok", "length": 1, "postings": {}}',
-            '{"doc": "a", "length": 3, "postings": {"x": [1.7]}}',
-            '{"doc": "a", "length": 3, "postings": {"x": [true]}}',
-            '{"doc": "a", "length": 3, "postings": {"x": "12"}}',
-            '{"doc": 7, "length": 3, "postings": {}}',
-            '{"doc": "a", "length": -1, "postings": {}}',
-            '{"doc": "a", "length": "3", "postings": {"x": [1]}}',
-            '{"doc": "a", "length": 3, "postings": []}',
-            '{"doc": "a", "length": 3, "postings": {"x": ' + "[" * 100_000 + "]" * 100_000 + "}}",
-            '{"doc": "a", "length": 3, "postings": {"x": [' + "9" * 5000 + "]}}",
-            '{"doc": "a", "length": 3, "postings": {"x": [0, 2], "y": [1, 1]}}',
-            '{"doc": "a", "length": 3, "postings": {"x": [0], "y": [true]}}',
+        good = '{"doc": "ok", "words": "x y x"}\n'
+        for bad, message in (
+            ("not json", "Expecting value"),
+            ("[1, 2]", "not a JSON object with doc and words"),
+            ('"words"', "not a JSON object with doc and words"),
+            ('{"doc": "a"}', "not a JSON object with doc and words"),
+            ('{"words": "a"}', "not a JSON object with doc and words"),
+            ('{"doc": 7, "words": "a"}', "document id 7 is not a string"),
+            ('{"doc": null, "words": "a"}', "document id None is not a string"),
+            ('{"doc": "a", "words": 5}', "words of 'a' are int, not a string"),
+            ('{"doc": "a", "words": ["x", "y"]}', "words of 'a' are list, not a string"),
+            ('{"doc": "a", "words": null}', "words of 'a' are NoneType, not a string"),
+            ('{"doc": "a", "words": "", "x": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON nested too deeply"),
+            ('{"doc": ' + "9" * 5000 + ', "words": ""}', "Exceeds the limit"),
+            ('{"doc": "a", "words": ' + "9" * 5000 + "}", "Exceeds the limit"),
+            ('{"doc": "a", "words": "", "length": ' + "9" * 5000 + "}", "Exceeds the limit"),
+            ('{"doc": "ok", "words": ""}', "duplicate document id: 'ok'"),
+            ('{"doc": "a", "length": 2, "postings": {"x": [0, 1]}}', "postings of an older index format"),
         ):
             # the bad record follows a good one and a blank line, as text and as bytes
             text = good + "\n" + bad + "\n"
             for fh in (io.StringIO(text), io.BytesIO(text.encode())):
-                with pytest.raises(ValueError, match="^bad index record on line 3: "):
+                with pytest.raises(ValueError, match=f"^bad index record on line 3: {re.escape(message)}"):
                     PositionalIndex.load_jsonl(fh)
+
+    def test_bytes_that_are_not_utf8_rejected(self):
+        text = b'{"doc": "ok", "words": "x"}\n{"doc": "\xff", "words": ""}\n'
+        with pytest.raises(ValueError, match="^bad index record on line 2: 'utf-8' codec can't decode"):
+            PositionalIndex.load_jsonl(io.BytesIO(text))
 
     @pytest.mark.parametrize(
         "bad, message",
         [
-            ('{"doc": "x\\udcff", "length": 0, "postings": {}}', "document id 'x\\udcff' is not encodable as UTF-8"),
-            (
-                '{"doc": "x", "length": 1, "postings": {"\\udcff": [0]}}',
-                "term '\\udcff' in 'x' is not encodable as UTF-8",
-            ),
+            ('{"doc": "x\\udcff", "words": ""}', "document id 'x\\udcff' is not encodable as UTF-8"),
+            ('{"doc": "x", "words": "a \\udcff"}', "words of 'x' are not encodable as UTF-8"),
         ],
     )
     def test_ids_and_terms_that_utf8_cannot_encode_rejected(self, bad, message):
         # no dump could write them back
-        text = '{"doc": "ok", "length": 1, "postings": {"x": [0]}}\n' + bad + "\n"
+        text = '{"doc": "ok", "words": "x"}\n' + bad + "\n"
         for fh in (io.StringIO(text), io.BytesIO(text.encode())):
             with pytest.raises(ValueError, match=f"^bad index record on line 2: {re.escape(message)}$"):
                 PositionalIndex.load_jsonl(fh)
 
-    def test_decrease_across_lists_loads(self):
-        # the positions fall only from the end of one list to the start of the next
-        record = '{"doc": "a", "length": 3, "postings": {"x": [2], "y": [0, 1]}}\n'
-        index = PositionalIndex.load_jsonl(io.StringIO(record))
-        assert index.docs["a"] == (3, {"x": (2,), "y": (0, 1)})
+    def test_old_postings_record_refused(self):
+        # an index written before records held words: rebuilding is the way on
+        text = '{"doc": "a", "length": 2, "postings": {"x": [0, 1]}}\n'
+        with pytest.raises(ValueError) as info:
+            PositionalIndex.load_jsonl(io.StringIO(text))
+        assert str(info.value) == (
+            "bad index record on line 1: postings of an older index format; re-run minspan index to rebuild it"
+        )
+
+    def test_extra_keys_ignored(self):
+        # a stale length is not read: the word count is the length
+        text = '{"doc": "d", "length": 100000000000, "words": "x y x", "postings": {}}\n'
+        index = PositionalIndex.load_jsonl(io.StringIO(text))
+        assert index.docs["d"] == (3, {"x": (0, 2), "y": (1,)})
+        assert [r.doc_id for r in search(index, "x")] == ["d"]
+
+    def test_words_are_not_tokenized_again(self):
+        # re-tokenizing would split "i\u0307stanbul", which "İ".lower() makes
+        index = PositionalIndex.load_jsonl(io.StringIO('{"doc": "d", "words": "i\u0307stanbul Hot hot! x_y"}\n'))
+        assert list(index.docs["d"][1]) == ["i\u0307stanbul", "Hot", "hot!", "x_y"]
+        assert [r.doc_id for r in search(index, "İstanbul")] == ["d"]
+        # words the tokenizer never makes load, and no query reaches them
+        for query in ("Hot", '"hot!"', '"x_y"'):
+            assert search(index, query) == []
 
 
 def _plain_decode(line: str) -> object:
-    """``json.loads`` without a hook, one frame below the caller, as ``_parse_record`` calls it."""
+    """``json.loads`` one frame below the caller, as ``_parse_record`` calls it."""
     return json.loads(line)
 
 
@@ -290,7 +314,7 @@ class TestDeepRecords:
     def test_loads_as_deep_as_the_decoder(self):
         # an integer at the bottom of the deepest records json.loads still parses
         def nested(depth: int) -> str:
-            return '{"doc": "a", "length": 1, "postings": {}, "extra": ' + "[" * depth + "7" + "]" * depth + "}"
+            return '{"doc": "a", "words": "", "extra": ' + "[" * depth + "7" + "]" * depth + "}"
 
         # both calls are made from this frame, so they start at one stack depth
         for deepest in range(sys.getrecursionlimit(), 0, -1):
@@ -301,7 +325,7 @@ class TestDeepRecords:
             break
         for depth in range(deepest - 4, deepest + 3):
             try:
-                _parse_record(nested(depth), _Ints(), _Terms())
+                _parse_record(nested(depth))
             except ValueError as exc:
                 assert str(exc) == "JSON nested too deeply"
                 assert depth > deepest
@@ -348,8 +372,8 @@ class TestSharedObjects:
         self._assert_shared(loaded)
 
 
-_GOOD = '{"doc": "a", "length": 2, "postings": {"x": [0, 1]}}\n'
-_BAD = '{"doc": "b", "length": 1, "postings": {"x": [1]}}\n'
+_GOOD = '{"doc": "a", "words": "x x"}\n'
+_BAD = '{"doc": "b", "words": 1}\n'
 
 
 class TestCollectorPause:
@@ -404,47 +428,11 @@ class TestCollectorPause:
         assert len(paused) == (len(ids) if duplicate is None else ids.index(duplicate, 1) + 1)
 
 
-def _per_list_rule(doc_id, length, raw):
-    """The loader's rule on positions, one list at a time: None if they load, else the message."""
-    for term, ps in raw.items():
-        if not isinstance(ps, list) or not ps or set(map(type, ps)) != {int}:
-            return f"positions of {term!r} in {doc_id!r} are not a nonempty list of integers"
-        if ps[0] < 0 or ps[-1] >= length or any(a >= b for a, b in zip(ps, ps[1:])):
-            return f"bad positions for {term!r} in {doc_id!r}"
-    return None
-
-
-small_positions = st.integers(-2, 6)
-position_lists = (
-    st.sets(st.integers(0, 5), min_size=1, max_size=4).map(sorted)
-    | st.lists(small_positions, max_size=4)
-    | st.lists(small_positions | st.booleans() | st.floats(), max_size=3)
-)
-postings_values = position_lists | position_lists | st.none() | small_positions | st.text(max_size=2)
-
-
-class TestLoaderDifferential:
-    @settings(max_examples=1000)
-    @given(length=st.integers(0, 6), raw=st.dictionaries(st.text(max_size=2), postings_values, max_size=5))
-    def test_accepts_and_names_as_per_list_rule(self, length, raw):
-        line = json.dumps({"doc": "d", "length": length, "postings": raw})
-        expected = _per_list_rule("d", length, raw)
-        # the whole-record check is exact, so a good record never takes the per-term loop
-        assert _positions_ok(list(raw.values()), length) == (expected is None)
-        for record in (line, line.encode()):
-            if expected is None:
-                parsed = _parse_record(record, _Ints(), _Terms())
-                assert parsed == ("d", length, {t: tuple(ps) for t, ps in raw.items()})
-            else:
-                with pytest.raises(ValueError) as info:
-                    _parse_record(record, _Ints(), _Terms())
-                assert str(info.value) == expected
-
-
-# the values the fuzzer puts into a good record: any JSON value, and small
-# integers, which land near the bounds of positions and lengths
-json_values = st.integers(-2, 4) | st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+# the values the fuzzer puts into a good record: any JSON value, and words
+# with whitespace, a lone surrogate or a letter the tokenizer would split
+_word_text = st.text(st.characters() | st.sampled_from([" ", "\u2028", "\udcff", "İ", "x"]), max_size=6)
+json_values = _word_text | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _word_text,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
@@ -476,7 +464,7 @@ def _mutate(record, data):
     elif action == "delete":
         del parent[last]
     elif isinstance(parent, dict):
-        key = data.draw(st.text(max_size=6) | st.sampled_from(["doc", "length", "postings", "hot"]))
+        key = data.draw(st.text(max_size=6) | st.sampled_from(["doc", "words", "length", "postings"]))
         if action == "rename":
             parent[key] = parent.pop(last)
         else:
@@ -486,8 +474,28 @@ def _mutate(record, data):
     return record
 
 
+def _encodes(value: str) -> bool:
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _loads(record: object, ids: list[str]) -> bool:
+    """Whether the loader takes ``record`` after the documents ``ids``: the rule, key by key."""
+    return (
+        isinstance(record, dict)
+        and isinstance(record.get("doc"), str)
+        and isinstance(record.get("words"), str)
+        and _encodes(record["doc"])
+        and _encodes(record["words"])
+        and record["doc"] not in ids
+    )
+
+
 class TestLoaderFuzz:
-    # small records, so that a mutation often lands on a position or a length
+    # small records, so that a mutation often lands on the id or the words
     @settings(max_examples=600)
     @given(data=st.data())
     def test_mutated_records_load_or_name_their_line(self, data):
@@ -495,16 +503,24 @@ class TestLoaderFuzz:
         build_index([("a", "one two one"), ("b", "x"), ("c", "")]).dump_jsonl(buf)
         records = [json.loads(line) for line in buf.getvalue().splitlines()]
         # the mutated record goes last, so a duplicate id is reported on its line
-        victim = records.pop(data.draw(st.integers(0, len(records) - 1)))
-        lines = [json.dumps(r) for r in records] + [json.dumps(_mutate(victim, data))]
+        victim = _mutate(records.pop(data.draw(st.integers(0, len(records) - 1))), data)
+        lines = [json.dumps(r) for r in records] + [json.dumps(victim)]
+        expected = _loads(victim, [r["doc"] for r in records])
         try:
             index = PositionalIndex.load_jsonl(io.StringIO("\n".join(lines) + "\n"))
         except ValueError as exc:
+            assert not expected
             assert re.match(f"bad index record on line {len(lines)}: ", str(exc)), exc
             return
-        # what loads satisfies the invariants search trusts
+        assert expected
+        # what loads satisfies the invariants search trusts: the positions
+        # 0..length-1, each held by one term, in the order of the words
         for doc_id, (length, postings) in index.docs.items():
-            assert type(doc_id) is str and type(length) is int and length >= 0
-            for positions in postings.values():
+            assert type(doc_id) is str and type(length) is int
+            words = [None] * length
+            for term, positions in postings.items():
                 Antichain.of_positions(positions)  # raises unless strictly increasing
-                assert 0 <= positions[0] and positions[-1] < length
+                for pos in positions:
+                    assert words[pos] is None
+                    words[pos] = term
+            assert words == next(r for r in records + [victim] if r["doc"] == doc_id)["words"].split()
