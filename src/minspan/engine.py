@@ -4,6 +4,8 @@ A term denotes the antichain of its occurrence positions; each query
 operator is interpreted by the corresponding antichain operator. A query is
 compiled once into a flat post-order plan, each operator with its mode or
 window bound, and one loop over one value stack runs the plan per document.
+An operator on two distinct terms is one step that calls its kernel on
+their positions: each position holds one term, so the two are disjoint.
 Each match becomes one row of integers, scored and snippeted from its
 witness columns; rows rank by exact integer keys, then become results.
 """
@@ -23,6 +25,7 @@ from .antichain import Antichain
 from .indexing import PositionalIndex
 from .intervals import Interval, _at_least
 from .operators import (
+    _PAIRS,
     _sweep,
     block,
     join,
@@ -35,8 +38,9 @@ from .operators import (
 __all__ = ["evaluate", "snippets", "score", "format_score", "SearchResult", "search"]
 
 # one plan entry per term or operator call, in post-order: the operator and the
-# number of values it takes off the stack, or for a term no operator, 0 and its text
-_Step = tuple[Callable[..., Antichain] | None, int, str | None]
+# number of values it takes off the stack; for a term no operator, 0 and its
+# text; for an operator on two distinct terms its kernel, 0 and the two texts
+_Step = tuple[Callable[..., Antichain] | None, int, str | tuple[str, str] | None]
 # one match: the sum of L // length over its witnesses, L the lcm of their
 # distinct lengths, the document id and the snippets
 _Row = tuple[int, int, str, tuple[Interval, ...]]
@@ -57,11 +61,13 @@ def _run(steps: list[_Step], postings: Mapping[str, tuple[int, ...]]) -> Anticha
             values[-1] = op(values.pop(-2), values[-1])
         elif arity:
             values[-1] = op(values[-1])
-        else:
+        elif op is None:
             # the index checked its postings when they entered it and keeps
             # them read-only; a term's singletons have its postings as both columns
             p = postings.get(text, ())
             values.append(Antichain._cols(p, p))
+        else:
+            values.append(op(postings.get(text[0], ()), postings.get(text[1], ())))
     return values[0]
 
 
@@ -74,7 +80,8 @@ def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
     side, so they require what it requires. OR requires only what all of its
     branches require. A mode is found in the operators' table as given.
     A union is built in its largest side, so a k-word phrase compiles in
-    near-linear time.
+    near-linear time. A binary operator with a kernel in ``_PAIRS``, on two
+    terms of different text, replaces their two steps with one kernel step.
     """
     steps: list[_Step] = []
     required: list[set[str]] = []
@@ -100,8 +107,15 @@ def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
                 # the mode's sweep, its (keep_found, strict) pair already bound
                 op = _sweep(n.mode)
                 need = sides[0] if n.mode.startswith("not_") else _union(sides)
-        # an AND or OR of n > 2 children folds the top two values n - 1 times
-        steps += [(op, 2, None)] * (arity - 1) if arity > 2 else [(op, arity, text)]
+        if arity > 2:
+            # an AND or OR of n > 2 children folds the top two values n - 1 times
+            steps += [(op, 2, None)] * (arity - 1)
+        elif arity == 2 and op in _PAIRS and steps[-2][0] is steps[-1][0] is None and steps[-2][2] != steps[-1][2]:
+            # the last two steps are the operands, two distinct terms. Each
+            # position holds one term, so their positions are disjoint
+            steps[-2:] = [(_PAIRS[op], 0, (steps[-2][2], steps[-1][2]))]
+        else:
+            steps.append((op, arity, text))
         required[len(required) - arity :] = (need,)
     return steps, frozenset(required[0])
 

@@ -14,6 +14,7 @@ block) share that branch: top is their identity, and bottom absorbs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
 from enum import Enum
 from functools import partial
@@ -342,6 +343,88 @@ def block(a: Antichain, b: Antichain) -> Antichain:
             lefts.append(left)
             rights.append(br[j])
     return Antichain._cols(lefts, rights)
+
+
+# Kernels of the operators on two terms of one document. Each takes two
+# strictly increasing position tuples, either of which may be empty, and they
+# are disjoint, since each position of a document holds one term. Each
+# returns what its operator returns on the singletons of those positions.
+_Points = tuple[int, ...]
+
+
+def _join_points(p: _Points, q: _Points) -> Antichain:
+    """The sorted union: no point contains another."""
+    points = tuple(sorted(p + q))
+    return Antichain._cols(points, points)
+
+
+def _minus_points(p: _Points, q: _Points) -> Antichain:
+    """p itself: a point contains no other point."""
+    return Antichain._cols(p, p)
+
+
+def _neighbours(p: _Points, q: _Points, before: bool, after: bool) -> Antichain:
+    """Spans of a point x of p and its neighbour y in q, with no point of p between them.
+
+    ``before`` keeps each [y, x], and ``after`` each [x, y]. Each point of p
+    is found in q by bisection from the last one's place, so the walk costs
+    the size of p times the log of the size of q.
+    """
+    lefts: list[int] = []
+    rights: list[int] = []
+    j, prev = 0, None
+    for x in p:
+        i = bisect_left(q, x, j)
+        if i > j:
+            # q[j:i] lie between prev and x: the first follows prev, the last precedes x
+            if after and prev is not None:
+                lefts.append(prev)
+                rights.append(q[j])
+            if before:
+                lefts.append(q[i - 1])
+                rights.append(x)
+        j, prev = i, x
+    if after and prev is not None and j < len(q):
+        lefts.append(prev)
+        rights.append(q[j])
+    return Antichain._cols(lefts, rights)
+
+
+def _meet_points(p: _Points, q: _Points) -> Antichain:
+    """The spans of neighbouring points from opposite sides, walked from the smaller side."""
+    return _neighbours(p, q, True, True) if len(p) <= len(q) else _neighbours(q, p, True, True)
+
+
+def _ordered_meet_points(p: _Points, q: _Points) -> Antichain:
+    """The spans of a point of p and the next point, when that is in q, walked from the smaller side."""
+    return _neighbours(p, q, False, True) if len(p) <= len(q) else _neighbours(q, p, True, False)
+
+
+def _block_points(p: _Points, q: _Points) -> Antichain:
+    """Each x of p with x + 1 in q, as [x, x + 1], bisected from the smaller side."""
+    lefts = _shifted(p, q, 1) if len(p) <= len(q) else [y - 1 for y in _shifted(q, p, -1)]
+    return Antichain._cols(lefts, [x + 1 for x in lefts])
+
+
+def _shifted(p: _Points, q: _Points, d: int) -> list[int]:
+    """The points x of p with x + d in q."""
+    found: list[int] = []
+    j, n = 0, len(q)
+    for x in p:
+        j = bisect_left(q, x + d, j)
+        if j < n and q[j] == x + d:
+            found.append(x)
+    return found
+
+
+# the kernel of each operator that has one, on the positions of two distinct terms
+_PAIRS: dict[Callable[[Antichain, Antichain], Antichain], Callable[[_Points, _Points], Antichain]] = {
+    join: _join_points,
+    meet: _meet_points,
+    pseudo_difference: _minus_points,
+    block: _block_points,
+    ordered_meet: _ordered_meet_points,
+}
 
 
 def within(a: Antichain, k: int) -> Antichain:

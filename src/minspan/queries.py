@@ -310,8 +310,11 @@ def parse_query(q: str) -> Query:
     no stronger, a ")" or the end builds them, so equal strengths associate
     to the left; AND and OR extend a pending run of their own instead.
     ``WITHIN k`` applies at once and lowers the ceiling to its strength, so
-    no stronger operator takes it as its left operand.
+    no stronger operator takes it as its left operand. A ``q`` that is not a
+    ``str`` raises ``ValueError``.
     """
+    if not isinstance(q, str):
+        raise ValueError(f"query is {type(q).__name__}, not a string")
     tokens = iter(_lex(q))
     operands: list[Query] = []
     # operators awaiting operands: (strength, node, operand count); the bottom "(" is the whole query

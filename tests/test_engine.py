@@ -27,6 +27,7 @@ from minspan.engine import (
 from minspan.indexing import PositionalIndex, build_index
 from minspan.intervals import Interval
 from minspan.operators import (
+    _PAIRS,
     Containment,
     StrictContainment,
     block,
@@ -460,25 +461,57 @@ class TestPruning:
             assert alone == [r for r in results if r.doc_id == doc_id]
 
 
+def assert_search_equals_oracle(ast, docs):
+    # each document's witnesses from the definitions, over lower sets of
+    # {0..MAX_WORDS-1}; the score and snippets from the witness list
+    index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(docs))
+    values = {doc_id: oracle_query(ast, postings, MAX_WORDS) for doc_id, (_, postings) in index.docs.items()}
+    scores = {
+        doc_id: sum((Fraction(1, iv.length) for iv in value.intervals), Fraction(0))
+        for doc_id, value in values.items()
+        if not value.is_bottom
+    }
+    ranked = sorted(scores, key=lambda doc_id: (-scores[doc_id], doc_id))
+    for k in range(4):
+        results = search(index, show(ast), k)
+        assert_result_types(results)
+        got = [(r.doc_id, r.score, list(r.snippets)) for r in results]
+        assert got == [(d, scores[d], reference_snippets(values[d], k)) for d in ranked]
+
+
 class TestWholeQueryOracle:
     @settings(max_examples=400)
     @given(ast=query_asts(), docs=st.lists(documents | long_documents, min_size=1, max_size=6))
     def test_search_equals_oracle(self, ast, docs):
-        # each document's witnesses from the definitions, over lower sets of
-        # {0..MAX_WORDS-1}; the score and snippets from the witness list
-        index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(docs))
-        values = {doc_id: oracle_query(ast, postings, MAX_WORDS) for doc_id, (_, postings) in index.docs.items()}
-        scores = {
-            doc_id: sum((Fraction(1, iv.length) for iv in value.intervals), Fraction(0))
-            for doc_id, value in values.items()
-            if not value.is_bottom
-        }
-        ranked = sorted(scores, key=lambda doc_id: (-scores[doc_id], doc_id))
-        for k in range(4):
-            results = search(index, show(ast), k)
-            assert_result_types(results)
-            got = [(r.doc_id, r.score, list(r.snippets)) for r in results]
-            assert got == [(d, scores[d], reference_snippets(values[d], k)) for d in ranked]
+        assert_search_equals_oracle(ast, docs)
+
+
+class TestPairSteps:
+    """An operator on two distinct terms is one plan step; on one term twice it is not."""
+
+    # each query on "a" and "b", with the operator its one step stands for
+    FUSED = {"a OR b": join, "a AND b": meet, "a MINUS b": pseudo_difference, "a < b": ordered_meet, '"a b"': block}
+    SAME_TERM = ["a AND a", "a OR a", "a MINUS a", '"a a"', "a < a"]
+
+    @pytest.mark.parametrize("text", FUSED)
+    def test_distinct_terms_are_one_step(self, text):
+        steps, _ = _compile(parse_query(text))
+        assert steps == [(_PAIRS[self.FUSED[text]], 0, ("a", "b"))]
+
+    @pytest.mark.parametrize("text", SAME_TERM)
+    def test_same_term_keeps_the_general_steps(self, text):
+        steps, _ = _compile(parse_query(text))
+        assert [step[1:] for step in steps] == [(0, "a"), (0, "a"), (2, None)]
+        docs = [["a"], ["a", "a"], ["a", "b", "a"], ["b", "a", "a", "c", "a"], ["c", "a", "c", "c", "a", "a"], ["b"], []]
+        assert_search_equals_oracle(parse_query(text), docs)
+
+    @pytest.mark.parametrize("text", FUSED)
+    def test_document_without_a_term(self, text):
+        index = build_index([("both", "b a c a b"), ("no_a", "c b b"), ("no_b", "a c a"), ("neither", "c c")])
+        op = self.FUSED[text]
+        for doc_id in index.doc_ids():
+            a, b = (evaluate(q.Term(t), index, doc_id) for t in "ab")
+            assert run(index, text, doc_id) == op(a, b)
 
 
 class TestResults:

@@ -3,12 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SCALING_OPS, ac, antichains, assert_normal, growth_ratios, scaling_cases
 from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.operators import (
+    _PAIRS,
     Containment,
     StrictContainment,
     block,
@@ -336,6 +337,41 @@ class TestBlock:
     @given(antichains(), antichains())
     def test_matches_definition(self, a, b):
         assert assert_normal(block(a, b)) == oracle_spans(a, b, "block")
+
+
+def two_terms(a: st.SearchStrategy[int], b: st.SearchStrategy[int], c: st.SearchStrategy[int]):
+    """The positions of "a" and of "b" in a shuffled sequence of that many "a"s, "b"s and "c"s.
+
+    Each position holds one word, so the two tuples are disjoint, as the
+    positions of two distinct terms of one document are.
+    """
+    words = st.tuples(a, b, c).flatmap(lambda n: st.permutations(["a"] * n[0] + ["b"] * n[1] + ["c"] * n[2]))
+    return words.map(lambda w: tuple(tuple(i for i, x in enumerate(w) if x == t) for t in "ab"))
+
+
+class TestPairKernels:
+    """Each kernel of an operator on two distinct terms, against the operator on their singletons."""
+
+    @staticmethod
+    def check(p, q):
+        assert set(_PAIRS) == {join, meet, pseudo_difference, block, ordered_meet}
+        for op, kernel in _PAIRS.items():
+            for x, y in ((p, q), (q, p)):
+                got = assert_normal(kernel(x, y))
+                assert got == op(Antichain._cols(x, x), Antichain._cols(y, y)), (op.__name__, x, y)
+
+    @given(two_terms(st.integers(0, 64), st.integers(0, 64), st.integers(0, 64)))
+    def test_matches_operator(self, terms):
+        self.check(*terms)
+
+    @settings(max_examples=40)
+    @given(two_terms(st.just(1), st.just(500), st.integers(0, 100)))
+    def test_matches_operator_one_against_500(self, terms):
+        self.check(*terms)
+
+    def test_empty_sides(self):
+        self.check((), ())
+        self.check((), (0, 2))
 
 
 class TestWithin:

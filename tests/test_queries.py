@@ -173,6 +173,15 @@ class TestErrors:
             parse_query("a WITHIN " + "9" * 5000)
         assert err.value.position == len("a WITHIN ")
 
+    @pytest.mark.parametrize("bad", [b"a", None, 5, ["a"]])
+    def test_query_that_is_no_string_names_its_type(self, bad):
+        message = f"query is {type(bad).__name__}, not a string"
+        with pytest.raises(ValueError, match=message) as err:
+            parse_query(bad)
+        assert type(err.value) is ValueError
+        with pytest.raises(ValueError, match=message):
+            search(build_index([("d", "a")]), bad)
+
     def test_node_invariants(self):
         with pytest.raises(ValueError):
             Or((Term("a"),))
