@@ -7,7 +7,8 @@ window bound, and one loop over one value stack runs the plan per document.
 An operator on two distinct terms is one step that calls its kernel on
 their positions: each position holds one term, so the two are disjoint.
 Each match becomes one row of integers, scored and snippeted from its
-witness columns; rows rank by exact integer keys, then become results.
+witness columns, or from its count and first k points when equal columns
+make it a point set; rows rank by exact integer keys, then become results.
 """
 
 from __future__ import annotations
@@ -137,21 +138,28 @@ def snippets(a: Antichain, k: int) -> list[Interval]:
     _at_least(k, 0, "snippets", "k")
     if a.is_top:
         raise ValueError("the top element has no snippet intervals")
-    return list(_cut(a._lefts, a._rights, _lengths(a._lefts, a._rights), k))
+    return list(_measure(a._lefts, a._rights, k)[2])
 
 
 def score(a: Antichain) -> Fraction:
     """Sum of inverse witness lengths: one exact Fraction over the lcm of the lengths."""
     if a.is_top:
         raise ValueError("the top element is not scoreable")
-    lengths = _lengths(a._lefts, a._rights)
+    return Fraction(*_measure(a._lefts, a._rights, 0)[:2])
+
+
+def _measure(lefts: tuple[int, ...], rights: tuple[int, ...], k: int) -> tuple[int, int, tuple[Interval, ...]]:
+    """The sum of L // length over the witnesses, L the lcm of their distinct lengths, and k snippets.
+
+    Equal columns are a point set. Each length is 1, so L is 1 and the sum
+    is the count; the points tie, so the stable sort keeps them in left
+    order, and they never overlap, so the cut is the first k.
+    """
+    if lefts == rights:
+        return len(lefts), 1, tuple([tuple.__new__(Interval, (p, p)) for p in lefts[:k]])
+    lengths = [right - left + 1 for left, right in zip(lefts, rights)]
     common = lcm(*set(lengths))
-    return Fraction(sum(map(common.__floordiv__, lengths)), common)
-
-
-def _lengths(lefts: tuple[int, ...], rights: tuple[int, ...]) -> list[int]:
-    """The length of each witness, in left order."""
-    return [right - left + 1 for left, right in zip(lefts, rights)]
+    return sum(map(common.__floordiv__, lengths)), common, _cut(lefts, rights, lengths, k)
 
 
 def _cut(lefts: tuple[int, ...], rights: tuple[int, ...], lengths: list[int], k: int) -> tuple[Interval, ...]:
@@ -216,14 +224,16 @@ def _plan(query_text: str, k: int) -> tuple[list[_Step], frozenset[str]]:
 
 
 def _row(steps: list[_Step], doc_id: str, postings: Mapping[str, tuple[int, ...]], k: int) -> _Row | None:
-    """The ranking row of one document, or None when the query is empty there."""
+    """The ranking row of one document, or None when the query is empty there.
+
+    A value with equal columns is a point set: its row is its count, 1, the
+    document id and its first k points.
+    """
     value = _run(steps, postings)
-    lefts, rights = value._lefts, value._rights
-    if not lefts:
+    if not value._lefts:
         return None
-    lengths = _lengths(lefts, rights)
-    common = lcm(*set(lengths))
-    return sum(map(common.__floordiv__, lengths)), common, doc_id, _cut(lefts, rights, lengths, k)
+    total, common, cut = _measure(value._lefts, value._rights, k)
+    return total, common, doc_id, cut
 
 
 def _ranked(rows: list[_Row]) -> list[SearchResult]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MODE_TOKENS, VOCAB, ac, antichains, assert_normal, growth_ratios, query_asts, show, stack_room
@@ -240,6 +240,35 @@ class TestScore:
         assert got == ("-" if scaled < 0 else "") + digits
         # the text reads back as the value rounded to the nearest place
         assert abs(Fraction(got) - value) <= Fraction(1, 2 * 10**places)
+
+
+class TestPointSets:
+    """A point set, its two columns equal, scores its count and cuts its first k points."""
+
+    @example(p=[])
+    @given(p=st.lists(st.integers(0, 40), unique=True).map(sorted))
+    def test_each_build_scores_its_count_and_cuts_its_first_points(self, p):
+        words = ["b"] * (max(p, default=0) + 1)
+        for at in p:
+            words[at] = "a"
+        index = build_index([("d", " ".join(words))])
+        term = evaluate(q.Term("a"), index, "d")
+        assert term._lefts is term._rights
+        builds = [term, Antichain.of_positions(p), Antichain(zip(p, p))]
+        steps, _ = _compile(q.Term("a"))
+        for k in range(len(p) + 2):
+            points = tuple(Interval(at, at) for at in p[:k])
+            for value in builds:
+                assert value._lefts == value._rights
+                assert score(value) == sum((Fraction(1, iv.length) for iv in value.intervals), Fraction(0)) == len(p)
+                assert snippets(value, k) == reference_snippets(value, k) == list(points)
+            row = _row(steps, "d", index.docs["d"][1], k)
+            if not p:
+                assert row is None
+                continue
+            assert row == (len(p), 1, "d", points)
+            assert Fraction(row[0], row[1]) == score(term) and list(row[3]) == reference_snippets(term, k)
+            assert all(type(iv) is Interval for iv in row[3])
 
 
 class TestSearch:
@@ -492,6 +521,7 @@ class TestPairSteps:
     # each query on "a" and "b", with the operator its one step stands for
     FUSED = {"a OR b": join, "a AND b": meet, "a MINUS b": pseudo_difference, "a < b": ordered_meet, '"a b"': block}
     SAME_TERM = ["a AND a", "a OR a", "a MINUS a", '"a a"', "a < a"]
+    DOCS = [["a"], ["a", "a"], ["a", "b", "a"], ["b", "a", "a", "c", "a"], ["c", "a", "c", "c", "a", "a"], ["b"], []]
 
     @pytest.mark.parametrize("text", FUSED)
     def test_distinct_terms_are_one_step(self, text):
@@ -502,8 +532,7 @@ class TestPairSteps:
     def test_same_term_keeps_the_general_steps(self, text):
         steps, _ = _compile(parse_query(text))
         assert [step[1:] for step in steps] == [(0, "a"), (0, "a"), (2, None)]
-        docs = [["a"], ["a", "a"], ["a", "b", "a"], ["b", "a", "a", "c", "a"], ["c", "a", "c", "c", "a", "a"], ["b"], []]
-        assert_search_equals_oracle(parse_query(text), docs)
+        assert_search_equals_oracle(parse_query(text), self.DOCS)
 
     @pytest.mark.parametrize("text", FUSED)
     def test_document_without_a_term(self, text):
@@ -512,6 +541,26 @@ class TestPairSteps:
         for doc_id in index.doc_ids():
             a, b = (evaluate(q.Term(t), index, doc_id) for t in "ab")
             assert run(index, text, doc_id) == op(a, b)
+
+
+class TestPointSetQueries:
+    """Queries whose every match is a point set agree with the oracle, pinned beside the drawn ones."""
+
+    # the last document holds a on both sides of the one b AND c witness, more
+    # than 3 times each, so the cut of k <= 3 drops points
+    DOCS = TestPairSteps.DOCS + [["a", "a", "b", "a", "a", "a", "a", "c", "a", "a", "a", "a"]]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a OR b", "a MINUS b", "a << (b AND c)", "a !<< (b AND c)", "(a OR b) WITHIN 1", "(a OR b) OR c", "a OR a"],
+    )
+    def test_search_equals_oracle(self, text):
+        ast = parse_query(text)
+        index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(self.DOCS))
+        values = [evaluate(ast, index, doc_id) for doc_id in index.doc_ids()]
+        assert all(value._lefts == value._rights for value in values)
+        assert len(values[-1]) > 3
+        assert_search_equals_oracle(ast, self.DOCS)
 
 
 class TestResults:
