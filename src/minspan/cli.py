@@ -13,14 +13,14 @@ import os
 import random
 import stat
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from itertools import product
 from pathlib import Path
 
 from .antichain import Antichain
 from .engine import _plan, _ranked, _row, format_score, search
 from .enumeration import cardinality, enumerate_lattice, level_profile, width
-from .indexing import PositionalIndex, build_index
+from .indexing import PositionalIndex, _records
 from .intervals import Universe
 from .operators import _FILTERS, block, filter_containment, join, leq, meet, ordered_meet
 from .operators import pseudo_difference, rank, within
@@ -120,14 +120,14 @@ def _cmd_index(args: argparse.Namespace) -> int:
             docs.append((p.name, p.read_text(encoding="utf-8")))
         except UnicodeDecodeError as exc:
             raise ValueError(f"{p} is not UTF-8: {exc}") from None
-    index = build_index(docs)
-    _dump_whole(index, args.output)
+    # each record straight from the tokenizer: no postings to build and invert
+    _dump_whole(_records(docs), args.output)
     print(f"indexed {len(docs)} document(s) -> {args.output}")
     return 0
 
 
-def _dump_whole(index: PositionalIndex, path: str) -> None:
-    """Dump index to a file that takes the place of path only once the dump returns.
+def _dump_whole(lines: Iterable[str], path: str) -> None:
+    """Write lines to a file that takes the place of path only once they are all written.
 
     A new path or a regular file is written to a sibling temporary file,
     which is then renamed over it. The temporary is opened with "x", so its
@@ -143,7 +143,7 @@ def _dump_whole(index: PositionalIndex, path: str) -> None:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(target, "w", encoding="utf-8") as fh:
-            index.dump_jsonl(fh)
+            fh.writelines(lines)
         return
     tmp = f"{target}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
@@ -151,7 +151,7 @@ def _dump_whole(index: PositionalIndex, path: str) -> None:
         with fh:
             if mode is not None:
                 os.chmod(tmp, stat.S_IMODE(mode))
-            index.dump_jsonl(fh)
+            fh.writelines(lines)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -28,12 +28,12 @@ from .intervals import Interval, _at_least
 from .operators import (
     _PAIRS,
     _sweep,
+    _within,
     block,
     join,
     meet,
     ordered_meet,
     pseudo_difference,
-    within,
 )
 
 __all__ = ["evaluate", "snippets", "score", "format_score", "SearchResult", "search"]
@@ -103,7 +103,7 @@ def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
             case q.Minus():
                 op, need = pseudo_difference, sides[0]
             case q.Within():
-                op, need = partial(within, k=n.k), sides[0]
+                op, need = partial(_within, k=n.k), sides[0]
             case q.ContainmentOp() | q.StrictContainmentOp():
                 # the mode's sweep, its (keep_found, strict) pair already bound
                 op = _sweep(n.mode)

@@ -6,9 +6,10 @@ import gc
 import json
 import re
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Container, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from itertools import count
+from json.encoder import encode_basestring, encode_basestring_ascii
 from types import MappingProxyType
 from typing import TextIO
 
@@ -35,9 +36,17 @@ def _words(text: str) -> list[str]:
     return list(map(str.lower, _TOKEN.findall(text)))
 
 
+def _checked_words(text: object, doc_id: str | None = None) -> list[str]:
+    """``_words(text)``; a text that is no string raises ValueError, naming its document if given."""
+    if not isinstance(text, str):
+        whose = "text" if doc_id is None else f"text of document {doc_id!r}"
+        raise ValueError(f"{whose} is {type(text).__name__}, not a string")
+    return _words(text)
+
+
 def tokenize(text: str) -> list[tuple[str, int]]:
     """Lowercased alphanumeric runs with consecutive positions from 0."""
-    return list(zip(_words(text), count()))
+    return list(zip(_checked_words(text), count()))
 
 
 class PositionalIndex:
@@ -89,14 +98,11 @@ class PositionalIndex:
 
     def add_document(self, doc_id: str, text: str) -> None:
         _check_id(doc_id)
-        if not isinstance(text, str):
-            raise ValueError(f"text of document {doc_id!r} is {type(text).__name__}, not a string")
-        self._add_words(doc_id, _words(text))
+        self._add_words(doc_id, _checked_words(text, doc_id))
 
     def _add_words(self, doc_id: str, words: list[str]) -> None:
         """Store the document whose term at each position ``i`` is ``words[i]``."""
-        if doc_id in self._docs:
-            raise ValueError(f"duplicate document id: {doc_id!r}")
+        _check_new(doc_id, self._docs)
         positions = self._positions
         if len(words) > len(positions):
             positions += range(len(positions), len(words))
@@ -123,15 +129,15 @@ class PositionalIndex:
         """Ids of the documents that hold term, in insertion order; empty when none."""
         return tuple(self._terms().get(term, ()))
 
-    # one JSON object per line: {"doc":, "words": "the document's terms in order"}
     def dump_jsonl(self, fh: TextIO) -> None:
+        """Write one ``_record`` per document, its words put back in position order."""
         for doc_id, (length, postings) in self._docs.items():
             # every position 0..length-1 holds one term, so every slot is filled
             words = [""] * length
             for term, positions in postings.items():
                 for pos in positions:
                     words[pos] = term
-            fh.write(json.dumps({"doc": doc_id, "words": " ".join(words)}, ensure_ascii=False) + "\n")
+            fh.write(_record(doc_id, words))
 
     @classmethod
     def load_jsonl(cls, fh: Iterable[str] | Iterable[bytes]) -> "PositionalIndex":
@@ -174,6 +180,33 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _record(doc_id: str, words: list[str]) -> str:
+    """The index line of a document: ``{"doc":, "words": "its terms in order"}``.
+
+    The bytes are those of ``json.dumps(..., ensure_ascii=False)``. Words
+    in ASCII other than DEL, which only the ASCII encoder escapes, take
+    that encoder, about three times as fast and giving the same string.
+    """
+    text = " ".join(words)
+    encode = encode_basestring_ascii if text.isascii() and "\x7f" not in text else encode_basestring
+    return '{"doc": ' + encode_basestring(doc_id) + ', "words": ' + encode(text) + "}\n"
+
+
+def _records(docs: Iterable[tuple[str, str]]) -> list[str]:
+    """The lines ``build_index(docs).dump_jsonl`` writes, made from each text's words alone.
+
+    Each document passes the checks ``build_index`` makes, in its order:
+    its id, its text, then a repeated id. No postings are built.
+    """
+    lines: dict[str, str] = {}
+    for doc_id, text in docs:
+        _check_id(doc_id)
+        words = _checked_words(text, doc_id)
+        _check_new(doc_id, lines)
+        lines[doc_id] = _record(doc_id, words)
+    return list(lines.values())
+
+
 def _parse_record(line: str | bytes) -> tuple[str, list[str]]:
     """Check one record and split its words."""
     try:
@@ -206,6 +239,12 @@ def _check_id(doc_id: object) -> None:
         doc_id.encode()
     except UnicodeEncodeError:
         raise ValueError(f"document id {doc_id!r} is not encodable as UTF-8") from None
+
+
+def _check_new(doc_id: str, known: Container[str]) -> None:
+    """Reject an id that ``known`` already holds."""
+    if doc_id in known:
+        raise ValueError(f"duplicate document id: {doc_id!r}")
 
 
 def build_index(docs: Iterable[tuple[str, str]]) -> PositionalIndex:

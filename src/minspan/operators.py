@@ -429,6 +429,12 @@ _PAIRS: dict[Callable[[Antichain, Antichain], Antichain], Callable[[_Points, _Po
 
 def within(a: Antichain, k: int) -> Antichain:
     """The intervals of a spanning at most k positions; top, the empty span, stays."""
+    _at_least(k, 0, "within", "k")
+    return _within(a, k)
+
+
+def _within(a: Antichain, k: int) -> Antichain:
+    """``within`` with k unchecked, for plans whose window the parser checked."""
     if a.is_top:
         return a
     lefts, rights = a._lefts, a._rights

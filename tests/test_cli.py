@@ -13,7 +13,7 @@ import pytest
 from conftest import DATA_DIR
 from minspan import cli
 from minspan.cli import main
-from minspan.indexing import PositionalIndex
+from minspan.indexing import build_index
 from minspan.operators import meet
 from minspan.oracle import oracle_bound
 
@@ -144,21 +144,45 @@ class TestIndexAndQuery:
         idx, new = tmp_path / "idx.jsonl", tmp_path / "new.jsonl"
         assert main(["index", str(RHYME), "-o", str(idx)]) == 0
         before = idx.read_bytes()
-        dump = PositionalIndex.dump_jsonl
+        records = cli._records
 
-        def dump_first_line_then_fail(index, fh):
-            buf = io.StringIO()
-            dump(index, buf)
-            fh.write(buf.getvalue().splitlines(keepends=True)[0])
+        def write_first_record_then_fail(docs):
+            yield records(docs)[0]
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(PositionalIndex, "dump_jsonl", dump_first_line_then_fail)
+        monkeypatch.setattr(cli, "_records", write_first_record_then_fail)
         capsys.readouterr()
         for out in (idx, new):
             assert main(["index", str(RHYME), "-o", str(out)]) == 2
             assert capsys.readouterr().err == "minspan: error: no space left on device\n"
         assert idx.read_bytes() == before
         assert os.listdir(tmp_path) == ["idx.jsonl"]
+
+    def test_repeated_file_name_is_refused(self, capsys, tmp_path):
+        # the id is the file name, so two inputs in different directories clash
+        inputs = [tmp_path / d / "x.txt" for d in ("a", "b")]
+        for path in inputs:
+            path.parent.mkdir()
+            path.write_text("pease porridge\n", encoding="utf-8")
+        idx, new = tmp_path / "idx.jsonl", tmp_path / "new.jsonl"
+        assert main(["index", str(RHYME), "-o", str(idx)]) == 0
+        before = idx.read_bytes()
+        capsys.readouterr()
+        for out in (idx, new):
+            assert main(["index", *map(str, inputs), "-o", str(out)]) == 2
+            assert capsys.readouterr() == ("", "minspan: error: duplicate document id: 'x.txt'\n")
+        assert idx.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["a", "b", "idx.jsonl"]
+
+    def test_index_writes_the_dump_of_the_built_index(self, capsys, tmp_path):
+        words, blank = tmp_path / "words.txt", tmp_path / "blank.txt"
+        words.write_text("İstanbul a_b Straße 42 straße\n", encoding="utf-8")
+        blank.write_text(" \t\n", encoding="utf-8")
+        idx = tmp_path / "idx.jsonl"
+        assert main(["index", str(RHYME), str(words), str(blank), "-o", str(idx)]) == 0
+        buf = io.StringIO()
+        build_index((p.name, p.read_text(encoding="utf-8")) for p in (RHYME, words, blank)).dump_jsonl(buf)
+        assert idx.read_bytes() == buf.getvalue().encode()
 
     def test_output_mode_follows_the_umask_and_an_existing_file(self, capsys, tmp_path):
         idx = tmp_path / "idx.jsonl"

@@ -7,15 +7,21 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minspan.antichain import Antichain
 from minspan.engine import search
-from minspan.indexing import _TOKEN, PositionalIndex, _parse_record, build_index, tokenize
+from minspan.indexing import _TOKEN, PositionalIndex, _parse_record, _record, _records, build_index, tokenize
 
 
 class TestTokenize:
+    @pytest.mark.parametrize("text, kind", [(None, "NoneType"), (b"a b", "bytes"), (5, "int")])
+    def test_text_that_is_no_string_is_refused(self, text, kind):
+        # as add_document refuses it, but with no document to name
+        with pytest.raises(ValueError, match=f"^text is {kind}, not a string$"):
+            tokenize(text)
+
     def test_basic(self):
         assert tokenize("Pease porridge hot!") == [("pease", 0), ("porridge", 1), ("hot", 2)]
 
@@ -76,6 +82,47 @@ class TestWritePath:
         index.dump_jsonl(buf)
         assert buf.getvalue() == expected
         assert expected.splitlines()[0] == '{"doc": "b", "words": "straße i\u0307stanbul straße zeta"}'
+
+
+# texts of ASCII or other runs, "İstanbul", "_" and digits among them, or
+# empty or whitespace only, and now and then one that is no string; ids that
+# repeat, and now and then one that is no string or that UTF-8 cannot encode
+_DOC_TEXT = st.text(st.characters(max_codepoint=127), max_size=40) | st.lists(
+    st.sampled_from(["İstanbul", "_", "42", "a_b7", "Straße", " ", "\t\n"]) | _TRICKY | st.characters(),
+    max_size=8,
+).map("".join)
+_DOC_TEXT_OR_NOT = st.integers(0, 7).flatmap(lambda i: st.sampled_from([None, b"a b"]) if i == 0 else _DOC_TEXT)
+_DOC_ID = st.sampled_from(["a", "b", "é", "x.txt"] * 4 + [5, None, b"a", "b\udcff.txt"])
+
+
+class TestRecords:
+    @settings(max_examples=400)
+    @given(st.lists(st.tuples(_DOC_ID, _DOC_TEXT_OR_NOT), max_size=6))
+    def test_records_are_the_dump_of_the_built_index(self, docs):
+        try:
+            expected = _dump(build_index(docs))
+        except ValueError as exc:
+            # the same checks, in the same order
+            with pytest.raises(ValueError) as info:
+                _records(docs)
+            assert str(info.value) == str(exc)
+        else:
+            assert "".join(_records(docs)).encode() == expected.encode()
+
+    @settings(max_examples=400)
+    @given(st.text(st.characters(max_codepoint=127) | _TRICKY, max_size=8)
+           | st.text(st.characters(codec="utf-8"), max_size=8),
+           st.lists(st.text(st.characters(max_codepoint=127), max_size=4) | st.text(max_size=4), max_size=5))
+    @example("d", ["a\x7fb"])
+    @example("d\x7f", ['q"', "b\\s", "\x01", "é"])
+    def test_record_is_json_dumps(self, doc_id, words):
+        # quotes, backslashes, control characters and DEL among the words
+        expected = json.dumps({"doc": doc_id, "words": " ".join(words)}, ensure_ascii=False) + "\n"
+        assert _record(doc_id, words) == expected
+
+    def test_repeated_id_is_refused_with_the_builder_message(self):
+        with pytest.raises(ValueError, match="^duplicate document id: 'x.txt'$"):
+            _records([("x.txt", "a"), ("y.txt", "b"), ("x.txt", "c")])
 
 
 class TestBuildIndex:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -382,6 +383,12 @@ class TestWithin:
     @given(antichains(), st.integers(0, 8))
     def test_matches_definition(self, a, k):
         assert assert_normal(within(a, k)) == oracle_within(a, k)
+
+    @pytest.mark.parametrize("k", ["2", 1.5, True, -1, None])
+    @pytest.mark.parametrize("a", [ac((0, 0), (2, 4)), TOP])
+    def test_bad_window_is_refused(self, a, k):
+        with pytest.raises(ValueError, match=f"^within needs a nonnegative int k, got {re.escape(repr(k))}$"):
+            within(a, k)
 
 
 class TestGrowthCurve:
