@@ -23,10 +23,15 @@ IntervalLike = Interval | tuple[int, int]
 
 
 def _as_interval(v: IntervalLike) -> Interval:
+    """``v`` as an Interval; a member that is not a pair raises ValueError naming it."""
+    if isinstance(v, Interval):
+        return v
     try:
-        return v if isinstance(v, Interval) else Interval(v[0], v[1])
+        if len(v) == 2:
+            return Interval(v[0], v[1])
     except (TypeError, LookupError):
-        raise ValueError(f"not an interval: {v!r}") from None
+        pass
+    raise ValueError(f"not an interval: {v!r}")
 
 
 def _reject(pairs: tuple[IntervalLike, ...]) -> NoReturn:
@@ -68,9 +73,11 @@ class Antichain:
         # whole-column passes; _reject only names the first bad member
         try:
             lefts, rights = tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
+            # the itemgetters refuse a member shorter than two, so this refuses a longer one
+            pairs_only = sum(map(len, pairs)) == 2 * len(pairs)
             increasing = all(map(lt, lefts, lefts[1:])) and all(map(lt, rights, rights[1:]))
             # bools add up to an int, as they pass Interval; floats, Fractions and strs do not
-            normal = all(map(le, lefts, rights)) and increasing and type(sum(lefts) + sum(rights)) is int
+            normal = pairs_only and all(map(le, lefts, rights)) and increasing and type(sum(lefts) + sum(rights)) is int
         except (TypeError, LookupError):
             normal = False
         if not normal:

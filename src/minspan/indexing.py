@@ -68,15 +68,20 @@ class PositionalIndex:
     Postings are tuples of shared ints under shared term strs. An index
     keeps its own term table and list of position ints, so the documents it
     builds or loads share one ``str`` per term and one ``int`` per
-    position; the list is as long as the longest document.
+    position; the list is as long as the longest document. A term that
+    occurs once in a document gets the index's one 1-tuple for that
+    position. The 1-tuples sit in a table keyed by position and filled on
+    first use, so the table holds only the positions some term holds
+    alone. A longer postings list is a tuple of its own.
     """
 
-    __slots__ = ("_docs", "_by_term", "_positions", "_term_table")
+    __slots__ = ("_docs", "_by_term", "_positions", "_singles", "_term_table")
 
     def __init__(self) -> None:
         self._docs: dict[str, tuple[int, Mapping[str, tuple[int, ...]]]] = {}
         self._by_term: defaultdict[str, list[str]] | None = None
         self._positions: list[int] = []
+        self._singles: dict[int, tuple[int]] = {}
         self._term_table: dict[str, str] = {}
 
     @property
@@ -112,7 +117,10 @@ class PositionalIndex:
         # setdefault is C-level, where a __missing__ would run Python per new term
         table = self._term_table
         terms = map(table.setdefault, postings, postings)
-        self._docs[doc_id] = (len(words), MappingProxyType(dict(zip(terms, map(tuple, postings.values())))))
+        # a one-position list takes the shared 1-tuple of its position, made on first use
+        get, put = self._singles.get, self._singles.setdefault
+        tuples = [get(ps[0]) or put(ps[0], tuple(ps)) if len(ps) == 1 else tuple(ps) for ps in postings.values()]
+        self._docs[doc_id] = (len(words), MappingProxyType(dict(zip(terms, tuples))))
         self._by_term = None
 
     def doc_ids(self) -> list[str]:

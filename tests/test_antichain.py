@@ -203,12 +203,23 @@ class TestConstructionPaths:
             "not in normal form: [1..2] before [1..2]": [(1, 2), (1, 2)],
             "not in normal form: [2..3] before [1..5]": [(2, 3), (1, 5)],
             "not in normal form: [0..5] before [1..2]": [(0, 5), (1, 2)],
+            # a member longer than a pair is refused, not cut to its first two items
+            "not an interval: (1, 2, 'x')": [(1, 2, "x")],
+            "not an interval: [1, 2, 3]": [[1, 2, 3]],
+            "not an interval: range(1, 4)": [range(1, 4)],
+            "not an interval: b'\\x01\\x02\\x03'": [b"\x01\x02\x03"],
+            "not an interval: (2, 3, 4)": [(0, 1), (2, 3, 4)],
         }
         for message, pairs in cases.items():
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Antichain(pairs)
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Antichain(iter(pairs))
+        with pytest.raises(ValueError, match=r"^not an interval: \(1, 2, 'x'\)$"):
+            Antichain.normalize([(0, 1), (1, 2, "x")])
+        # a pair of another sequence type still passes
+        expected = Antichain([(1, 2), (4, 5)])
+        assert Antichain([[1, 2], range(4, 6)]) == Antichain.normalize([range(4, 6), [1, 2]]) == expected
 
     @pytest.mark.parametrize(
         "members, message",

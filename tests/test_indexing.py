@@ -419,6 +419,100 @@ class TestSharedObjects:
         self._assert_shared(loaded)
 
 
+def _assert_singles_shared(index: PositionalIndex) -> None:
+    """Each one-position posting is the index's 1-tuple for its position, and the table holds no other."""
+    postings = [ps for _, postings in index.docs.values() for ps in postings.values()]
+    assert all(type(ps) is tuple for ps in postings)
+    singles = [ps for ps in postings if len(ps) == 1]
+    assert all(ps is index._singles[ps[0]] for ps in singles)
+    assert index._singles.keys() == {ps[0] for ps in singles}
+    assert all(one[0] is index._positions[p] for p, one in index._singles.items())
+
+
+def _sharing(index: PositionalIndex) -> list[list[tuple[str, str]]]:
+    """The (document, term) keys of the index grouped by the posting object they hold."""
+    groups: dict[int, list[tuple[str, str]]] = {}
+    for doc_id, (_, postings) in index.docs.items():
+        for term, ps in postings.items():
+            groups.setdefault(id(ps), []).append((doc_id, term))
+    return sorted(groups.values())
+
+
+class TestSharedSingles:
+    """A term held once in a document takes the index's one 1-tuple for its position."""
+
+    # each document holds its own term once at 0 and at 300, past the
+    # interpreter's cached small ints, and its filler many times
+    _DOCS = [("a", "x " + "f " * 299 + "y"), ("b", "z " + "g " * 299 + "w"), ("c", "f f")]
+
+    def _assert_same_tuples(self, index):
+        (_, a), (_, b) = index.docs["a"], index.docs["b"]
+        assert a["x"] is b["z"] and a["x"] == (0,)
+        assert a["y"] is b["w"] and a["y"] == (300,)
+        assert a["y"][0] is index._positions[300]
+        assert index._singles.keys() == {0, 300}
+        _assert_singles_shared(index)
+
+    def test_built(self):
+        self._assert_same_tuples(build_index(self._DOCS))
+
+    def test_loaded(self):
+        self._assert_same_tuples(_round_trip(build_index(self._DOCS)))
+
+    def test_added_after_a_load(self):
+        index = _round_trip(build_index(self._DOCS[:1]))
+        index.add_document(*self._DOCS[1])
+        index.add_document(*self._DOCS[2])
+        self._assert_same_tuples(index)
+
+    def test_longer_lists_are_their_own(self):
+        index = build_index([("a", "p q p"), ("b", "p q p")])
+        (_, a), (_, b) = index.docs["a"], index.docs["b"]
+        assert a["p"] == b["p"] == (0, 2) and a["p"] is not b["p"]
+        assert a["q"] is b["q"]
+        assert index._singles.keys() == {1}
+
+
+# documents over a small vocabulary, so that terms repeat within one and
+# across them, each now and then led by a filler run that takes its later
+# positions past the cached small ints and past the earlier documents
+_SHARED_DOCS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 3, 260]),
+        st.lists(st.sampled_from(["a", "B", "cc", "İ", "x_y", "7", "a"]), max_size=12),
+        st.sampled_from([" ", ", ", "\n"]),
+    ).map(lambda doc: "pad " * doc[0] + doc[2].join(doc[1])),
+    max_size=6,
+).map(lambda texts: [(f"d{i}", text) for i, text in enumerate(texts)])
+
+
+class TestSharedSinglesDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(_SHARED_DOCS)
+    def test_postings_and_sharing_match_reference(self, docs):
+        index = build_index(docs)
+        for doc_id, text in docs:
+            grouped: dict[str, list[int]] = {}
+            for term, pos in _match_tokens(text):
+                grouped.setdefault(term, []).append(pos)
+            length, postings = index.docs[doc_id]
+            assert length == sum(map(len, grouped.values()))
+            assert {t: list(ps) for t, ps in postings.items()} == grouped
+            assert list(postings) == list(grouped)
+        _assert_singles_shared(index)
+        loaded = _round_trip(index)
+        assert loaded == index
+        _assert_singles_shared(loaded)
+        assert _sharing(loaded) == _sharing(index)
+        if docs:
+            # the last document added to a loaded index shares as if built
+            grown = _round_trip(build_index(docs[:-1]))
+            grown.add_document(*docs[-1])
+            assert grown == index
+            _assert_singles_shared(grown)
+            assert _sharing(grown) == _sharing(index)
+
+
 _GOOD = '{"doc": "a", "words": "x x"}\n'
 _BAD = '{"doc": "b", "words": 1}\n'
 
