@@ -3,10 +3,12 @@
 The lattice over {0..n-1} has C(n+1) + 1 elements (Catalan plus one for the
 top). The generator lists them by growing antichains left to right, in
 time linear in each element's member count, since each element copies both
-columns of the scan. Rank histograms are built on top of the stream. The
-exact poset width (maximum antichain of the lattice itself, via minimum
-chain cover and bipartite matching) compares the elements' lower sets,
-read as bitmasks from the oracle's per-n cache, so the two share one rule.
+columns of the scan. The rank histogram does not read the stream: it is a
+dynamic program over the rank formula's last member, whose cost does not
+grow with the element count. The exact poset width (maximum antichain of
+the lattice itself, via minimum chain cover and bipartite matching)
+compares the elements' lower sets, read as bitmasks from the oracle's per-n
+cache, so the two share one rule.
 """
 
 from __future__ import annotations
@@ -107,11 +109,40 @@ class LevelProfile:
 
 
 def level_profile(n: int) -> LevelProfile:
+    """How many lattice elements over {0..n-1} have each rank, 0 to H + 1.
+
+    The rank sums (l_i - l_{i-1}) * (n - r_i) over the members in natural
+    order, l_0 = -1, so its generating function follows from the last
+    member [l', r'] alone: P[l'][r'] = x^((l'+1)(n-r')) + the sum over
+    l < l' of x^((l'-l)(n-r')) times every P[l][r] with l <= r < r'. The
+    profile is 1 (bottom) + the sum of every P + x^(H+1) (top), where
+    H = n(n+1)/2. Each polynomial is one int holding B = 2(n+2) bits a
+    coefficient, since a coefficient counts elements and there are fewer
+    than 2^(2n+2); a product by a power of x is then a shift. Each column
+    r' carries the inner sums from row to row, shifted once a row, so the
+    program takes O(n^2) operations on ints of about n^3 bits, and no
+    element is listed.
+    """
     _at_least(n, 1, "level_profile", "n")
-    counts = [0] * (rank(TOP, n) + 1)
-    for a in enumerate_lattice(n):
-        counts[rank(a, n)] += 1
-    return LevelProfile(n, tuple(counts))
+    height = n * (n + 1) // 2
+    bits = 2 * (n + 2)
+    shifts = [(n - r) * bits for r in range(n)]
+    # carry[r] is P[l][r] for the row l in hand; before row 0 it holds the
+    # lone member [0..r], as if the empty antichain sat in row -1
+    carry = [1 << shift for shift in shifts]
+    total = 1 + (1 << (height + 1) * bits)
+    for left in range(n):
+        # row sums P[left][r] over left <= r < the column in hand; column
+        # left is read for the last time here, so its int is let go
+        row, carry[left] = carry[left], 0
+        for r in range(left + 1, n):
+            p = carry[r]
+            carry[r] = (p + row) << shifts[r]
+            row += p
+        total += row
+    digits = format(total, "b").zfill((height + 2) * bits)
+    counts = tuple(int(digits[i - bits : i], 2) for i in range(len(digits), 0, -bits))
+    return LevelProfile(n, counts)
 
 
 def width(n: int) -> int:

@@ -14,7 +14,7 @@ interval, which only the top element's lower set holds. Inclusion is then
 ``a & ~b == 0``, union OR and intersection AND, and a rank is a bit count.
 An operand with a member outside {0..n-1} is rejected. The masks of every
 lattice element are cached per n; ``enumeration.width`` compares the same
-masks.
+masks, and ``oracle_level_profile`` counts their bits.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "oracle_residual",
     "oracle_crit",
     "oracle_rank",
+    "oracle_level_profile",
     "oracle_minimal",
     "oracle_spans",
     "oracle_filter",
@@ -169,6 +170,18 @@ def oracle_rank(a: Antichain, n: int) -> int:
     top holds.
     """
     return _mask(a, n).bit_count()
+
+
+def oracle_level_profile(n: int) -> tuple[int, ...]:
+    """How many lattice elements have each rank, 0 to H + 1, by ranking every one.
+
+    A rank is the bit count of the element's lower set, as in
+    :func:`oracle_rank`, over the cached masks of the whole lattice.
+    """
+    counts = [0] * (len(_numbering(n)[0]) + 2)
+    for mask in _lattice_masks(n):
+        counts[mask.bit_count()] += 1
+    return tuple(counts)
 
 
 def _members(a: Antichain) -> tuple[Interval | None, ...]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from itertools import islice
 
 import pytest
@@ -14,6 +15,8 @@ from minspan.enumeration import (
     level_profile,
     width,
 )
+from minspan.operators import rank
+from minspan.oracle import oracle_level_profile
 
 GOLDEN_N3 = [
     "0",
@@ -103,10 +106,22 @@ class TestLevelProfile:
     def test_three_element_chain(self):
         assert level_profile(1).counts == (1, 1, 1)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_lower_set_ranks(self, n):
+        # the oracle counts bits of every element's lower set
+        assert level_profile(n).counts == oracle_level_profile(n)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_matches_the_closed_form_ranks(self, n):
+        counts = [0] * (rank(TOP, n) + 1)
+        for a in enumerate_lattice(n):
+            counts[rank(a, n)] += 1
+        assert level_profile(n).counts == tuple(counts)
+
     def test_counts_partition_the_lattice(self):
-        for n in range(1, 7):
+        for n in range(1, 41):
             profile = level_profile(n)
-            assert profile.total == cardinality(n)
+            assert profile.total == cardinality(n), n
             assert profile.counts[0] == 1
             assert profile.counts[-1] == 1
 
@@ -115,10 +130,18 @@ class TestLevelProfile:
         assert level_profile(4).counts == (1, 1, 2, 3, 5, 5, 7, 7, 6, 4, 1, 1)
 
     def test_length_is_height(self):
-        for n in range(1, 9):
+        for n in range(1, 41):
             assert len(level_profile(n).counts) == 2 + n * (n + 1) // 2
         with pytest.raises(ValueError, match="^profile length must equal the lattice height$"):
             LevelProfile(2, (1, 2))
+
+    def test_wide_universe_lists_no_element(self):
+        # the lattice over 30 positions has about 1.5e16 elements, far more
+        # than any enumeration could rank in this time
+        start = time.perf_counter()
+        profile = level_profile(30)
+        assert time.perf_counter() - start < 1.0
+        assert profile.total == cardinality(30)
 
 
 class TestWidth:
