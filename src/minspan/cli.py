@@ -207,8 +207,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if op not in CHECK_OPS:
             raise ValueError(f"unknown op {op!r}; choose from {', '.join(CHECK_OPS)} or all")
     elements = list(enumerate_lattice(n))
-    rng = random.Random(_SAMPLE_SEED)
-    sample = [(rng.choice(elements), rng.choice(elements)) for _ in range(args.samples)]
     failures = 0
     for op in ops:
         check = _CHECKS[op]
@@ -216,10 +214,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
             bad = sum(not check(a, a, n) for a in elements)
             label = f"{len(elements)} elements"
         else:
-            # without --samples each pair is made as it is checked, so the
-            # n-squared pairs are never held at once
-            bad = sum(not check(a, b, n) for a, b in sample or product(elements, repeat=2))
-            label = f"{len(sample) or len(elements) ** 2} pairs"
+            if args.samples:
+                # a fresh generator for each op, so that every op checks the same pairs
+                rng = random.Random(_SAMPLE_SEED)
+                pairs = ((rng.choice(elements), rng.choice(elements)) for _ in range(args.samples))
+            else:
+                pairs = product(elements, repeat=2)
+            # each pair is made as it is checked, so the pairs are never held at once
+            bad = sum(not check(a, b, n) for a, b in pairs)
+            label = f"{args.samples or len(elements) ** 2} pairs"
         if bad:
             failures += 1
             print(f"{op}: FAIL ({bad} mismatches over {label})")

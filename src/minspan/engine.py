@@ -4,8 +4,10 @@ A term denotes the antichain of its occurrence positions; each query
 operator is interpreted by the corresponding antichain operator. A query is
 compiled once into a flat post-order plan, each operator with its mode or
 window bound, and one loop over one value stack runs the plan per document.
-An operator on two distinct terms is one step that calls its kernel on
-their positions: each position holds one term, so the two are disjoint.
+Each operator's row of the operator table, ``queries._INFIX``, gives its
+closed form, its required terms and its kernel, which one step calls on the
+positions of two distinct terms: each position holds one term, so the two
+are disjoint.
 Each match becomes one row of integers, scored and snippeted from its
 witness columns, or from its count and first k points when equal columns
 make it a point set; rows rank by exact integer keys, then become results.
@@ -25,16 +27,6 @@ from . import queries as q
 from .antichain import Antichain
 from .indexing import PositionalIndex
 from .intervals import Interval, _at_least
-from .operators import (
-    _PAIRS,
-    _sweep,
-    _within,
-    block,
-    join,
-    meet,
-    ordered_meet,
-    pseudo_difference,
-)
 
 __all__ = ["evaluate", "snippets", "score", "format_score", "SearchResult", "search"]
 
@@ -75,57 +67,31 @@ def _run(steps: list[_Step], postings: Mapping[str, tuple[int, ...]]) -> Anticha
 def _compile(ast: q.Query) -> tuple[list[_Step], frozenset[str]]:
     """The plan of ``ast`` and the terms that every document with a nonempty result contains.
 
-    AND, ``<``, ``++`` and the containment modes other than the ``not_``
-    ones are empty when either side is, so they require the union of their
-    sides. MINUS, WITHIN and the ``not_`` modes keep a subset of their left
-    side, so they require what it requires. OR requires only what all of its
-    branches require. A mode is found in the operators' table as given.
-    A union is built in its largest side, so a k-word phrase compiles in
-    near-linear time. A binary operator with a kernel in ``_PAIRS``, on two
-    terms of different text, replaces their two steps with one kernel step.
+    Each operator node's row gives the closed form its step calls, WITHIN's
+    with the window bound in, and its required terms from its sides'. A
+    binary operator whose row has a kernel, on two terms of different text,
+    is one kernel step in place of their two steps.
     """
     steps: list[_Step] = []
     required: list[set[str]] = []
     for n, arity in q.postorder(ast):
-        sides = required[len(required) - arity :]
-        text = None
-        match n:
-            case q.Term():
-                op, text, need = None, n.text, {n.text}
-            case q.Or():
-                op, need = join, set.intersection(*sides)
-            case q.And():
-                op, need = meet, _union(sides)
-            case q.OrderedMeet():
-                op, need = ordered_meet, _union(sides)
-            case q.Block():
-                op, need = block, _union(sides)
-            case q.Minus():
-                op, need = pseudo_difference, sides[0]
-            case q.Within():
-                op, need = partial(_within, k=n.k), sides[0]
-            case q.ContainmentOp() | q.StrictContainmentOp():
-                # the mode's sweep, its (keep_found, strict) pair already bound
-                op = _sweep(n.mode)
-                need = sides[0] if n.mode.startswith("not_") else _union(sides)
+        if type(n) is q.Term:
+            steps.append((None, 0, n.text))
+            required.append({n.text})
+            continue
+        rule = q._rule(n)
+        op = partial(rule.op, k=n.k) if type(n) is q.Within else rule.op
         if arity > 2:
             # an AND or OR of n > 2 children folds the top two values n - 1 times
             steps += [(op, 2, None)] * (arity - 1)
-        elif arity == 2 and op in _PAIRS and steps[-2][0] is steps[-1][0] is None and steps[-2][2] != steps[-1][2]:
+        elif arity == 2 and rule.kernel and steps[-2][0] is steps[-1][0] is None and steps[-2][2] != steps[-1][2]:
             # the last two steps are the operands, two distinct terms. Each
             # position holds one term, so their positions are disjoint
-            steps[-2:] = [(_PAIRS[op], 0, (steps[-2][2], steps[-1][2]))]
+            steps[-2:] = [(rule.kernel, 0, (steps[-2][2], steps[-1][2]))]
         else:
-            steps.append((op, arity, text))
-        required[len(required) - arity :] = (need,)
+            steps.append((op, arity, None))
+        required[len(required) - arity :] = (rule.keeps(required[len(required) - arity :]),)
     return steps, frozenset(required[0])
-
-
-def _union(sides: list[set[str]]) -> set[str]:
-    """The union of ``sides``, merged into the largest, which no other stack slot holds."""
-    largest = max(sides, key=len)
-    largest.update(*(side for side in sides if side is not largest))
-    return largest
 
 
 def snippets(a: Antichain, k: int) -> list[Interval]:

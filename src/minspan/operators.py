@@ -345,7 +345,8 @@ def block(a: Antichain, b: Antichain) -> Antichain:
     return Antichain._cols(lefts, rights)
 
 
-# Kernels of the operators on two terms of one document. Each takes two
+# Kernels of the operators on two terms of one document; the query
+# language's operator table names each operator's kernel. Each takes two
 # strictly increasing position tuples, either of which may be empty, and they
 # are disjoint, since each position of a document holds one term. Each
 # returns what its operator returns on the singletons of those positions.
@@ -415,16 +416,6 @@ def _shifted(p: _Points, q: _Points, d: int) -> list[int]:
         if j < n and q[j] == x + d:
             found.append(x)
     return found
-
-
-# the kernel of each operator that has one, on the positions of two distinct terms
-_PAIRS: dict[Callable[[Antichain, Antichain], Antichain], Callable[[_Points, _Points], Antichain]] = {
-    join: _join_points,
-    meet: _meet_points,
-    pseudo_difference: _minus_points,
-    block: _block_points,
-    ordered_meet: _ordered_meet_points,
-}
 
 
 def within(a: Antichain, k: int) -> Antichain:

@@ -6,9 +6,10 @@ their strict forms ``>>>`` / ``!>>>``, ``WITHIN k``, ``AND``, ``MINUS``,
 ``OR``. Everything is left-associative; parentheses group; a quoted phrase
 is sugar for a chain of ``++``.
 
-One table, ``_INFIX``, holds each operator's token, strength and node, and
-one loop parses with two explicit stacks, one of operands and one of
-pending operators, so nesting depth costs no recursion.
+The operator table, ``_INFIX``, holds all the parser and the plan compiler
+know of each operator, one row per token. One loop parses with two explicit
+stacks, one of operands and one of pending operators, so nesting depth
+costs no recursion.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial, reduce
+from operator import itemgetter
 from typing import NamedTuple
 
+from .antichain import Antichain
 from .indexing import _TOKEN, _words
 from .intervals import _at_least
-from .operators import Containment, StrictContainment
+from .operators import _FILTERS, Containment, StrictContainment, _sweep, _within, block, join, meet, ordered_meet
+from .operators import _block_points, _join_points, _meet_points, _minus_points, _ordered_meet_points, pseudo_difference
 
 __all__ = [
     "Query",
@@ -131,6 +135,9 @@ class ContainmentOp(_Node):
     right: "Query"
     mode: Containment
 
+    def __post_init__(self) -> None:
+        _sweep(self.mode)
+
 
 @_node
 class StrictContainmentOp(_Node):
@@ -138,18 +145,11 @@ class StrictContainmentOp(_Node):
     right: "Query"
     mode: StrictContainment
 
+    def __post_init__(self) -> None:
+        _sweep(self.mode)
 
-Query = (
-    Term
-    | Or
-    | And
-    | Minus
-    | Within
-    | OrderedMeet
-    | Block
-    | ContainmentOp
-    | StrictContainmentOp
-)
+
+Query = Term | Or | And | Minus | Within | OrderedMeet | Block | ContainmentOp | StrictContainmentOp
 
 # a query in post-order: each node with the number of its query operands,
 # which precede it; terms have none
@@ -192,9 +192,7 @@ def _repr_node(n: Query, operands: list[str]) -> str:
         fields = [f"children=({', '.join(operands)})"]
     else:
         it = iter(operands)
-        fields = [
-            f"{name}={next(it) if isinstance(v, _Node) else repr(v)}" for name, v in vars(n).items()
-        ]
+        fields = [f"{name}={next(it) if isinstance(v, _Node) else repr(v)}" for name, v in vars(n).items()]
     return f"{type(n).__name__}({', '.join(fields)})"
 
 
@@ -204,23 +202,67 @@ class QuerySyntaxError(ValueError):
         self.position = position
 
 
-# Each infix operator's binding strength, tightest highest, and the node it
-# builds from its left operand and its right one, or the window for WITHIN
-_INFIX: dict[str, tuple[int, Callable[..., Query]]] = {
-    "OR": (1, Or),
-    "MINUS": (2, Minus),
-    "AND": (3, And),
-    "WITHIN": (4, Within),
-    ">>": (5, partial(ContainmentOp, mode=Containment.CONTAINING)),
-    "!>>": (5, partial(ContainmentOp, mode=Containment.NOT_CONTAINING)),
-    "<<": (5, partial(ContainmentOp, mode=Containment.CONTAINED_IN)),
-    "!<<": (5, partial(ContainmentOp, mode=Containment.NOT_CONTAINED_IN)),
-    ">>>": (5, partial(StrictContainmentOp, mode=StrictContainment.STRICTLY_CONTAINING)),
-    "!>>>": (5, partial(StrictContainmentOp, mode=StrictContainment.NOT_STRICTLY_CONTAINING)),
-    "<": (6, OrderedMeet),
-    "++": (7, Block),
+# The terms an operator's matches require, from its sides', left first. A
+# side is a set that no one else holds, so it may be updated in place
+_Keeps = Callable[[list[set[str]]], set[str]]
+_left_side: _Keeps = itemgetter(0)
+
+
+def _both_sides(sides: list[set[str]]) -> set[str]:
+    """The union, merged into the largest side, so a k-word phrase compiles in near-linear time."""
+    largest = max(sides, key=len)
+    largest.update(*(side for side in sides if side is not largest))
+    return largest
+
+
+def _shared(sides: list[set[str]]) -> set[str]:
+    return set.intersection(*sides)
+
+
+class _Rule(NamedTuple):
+    """One row of the operator table: everything the program knows of one infix operator."""
+
+    strength: int  # binding strength, tightest highest
+    node: Callable[..., Query]  # built from the left operand and the right one, or the window for WITHIN
+    op: Callable[..., Antichain]  # the closed form a plan step calls; WITHIN's takes the window as k
+    kernel: Callable[[tuple[int, ...], tuple[int, ...]], Antichain] | None  # on two distinct terms' positions
+    keeps: _Keeps
+
+
+def _filter(mode: Containment | StrictContainment, kernel: Callable[..., Antichain] | None, keeps: _Keeps) -> _Rule:
+    node = ContainmentOp if isinstance(mode, Containment) else StrictContainmentOp
+    return _Rule(5, partial(node, mode=mode), _FILTERS[mode], kernel, keeps)
+
+
+# The operator table. An operator empty when either side is keeps both sides'
+# terms; one keeping a subset of its left side, that side's; OR, those all its
+# branches share. The sweep of "!>>" is the pseudo-difference: MINUS's kernel
+# serves it, since two distinct terms' positions are disjoint
+_INFIX: dict[str, _Rule] = {
+    "OR": _Rule(1, Or, join, _join_points, _shared),
+    "MINUS": _Rule(2, Minus, pseudo_difference, _minus_points, _left_side),
+    "AND": _Rule(3, And, meet, _meet_points, _both_sides),
+    "WITHIN": _Rule(4, Within, _within, None, _left_side),
+    ">>": _filter(Containment.CONTAINING, None, _both_sides),
+    "!>>": _filter(Containment.NOT_CONTAINING, _minus_points, _left_side),
+    "<<": _filter(Containment.CONTAINED_IN, None, _both_sides),
+    "!<<": _filter(Containment.NOT_CONTAINED_IN, None, _left_side),
+    ">>>": _filter(StrictContainment.STRICTLY_CONTAINING, None, _both_sides),
+    "!>>>": _filter(StrictContainment.NOT_STRICTLY_CONTAINING, None, _left_side),
+    "<": _Rule(6, OrderedMeet, ordered_meet, _ordered_meet_points, _both_sides),
+    "++": _Rule(7, Block, block, _block_points, _both_sides),
 }
-_TIGHTEST = max(strength for strength, _ in _INFIX.values())
+# the rows by node: a containment node's by its mode, which as a str enum
+# member hashes as its value does, and any other's by its class
+_RULES = {getattr(rule.node, "keywords", {}).get("mode", rule.node): rule for rule in _INFIX.values()}
+
+
+def _rule(n: Query) -> _Rule:
+    """The row of an operator node; a containment node checked its mode when it was built."""
+    return _RULES.get(type(n)) or _RULES[n.mode]
+
+
+_TIGHTEST = max(rule.strength for rule in _INFIX.values())
 # an open "(" among the pending operators: weaker than each, so building stops there
 _OPEN = (0, None, 0)
 
@@ -330,8 +372,8 @@ def parse_query(q: str) -> Query:
         # operators and closing parentheses, up to the next operator that wants an operand
         for token in tokens:
             rule = None if token.kind == "quoted" else _INFIX.get(token.value)
-            if rule is not None and rule[0] <= ceiling:
-                strength, node = rule
+            if rule is not None and rule.strength <= ceiling:
+                strength, node = rule.strength, rule.node
                 run = node is Or or node is And
                 # a run of AND or OR stays pending to take one more operand
                 _build(pending, operands, strength + 1 if run else strength)

@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 
+def _is(value: object, kind: type, owner: str, name: str) -> None:
+    """The one rule for an argument of a given type: an instance of it, or a ValueError naming it."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{owner} needs {name} of type {kind.__name__}, got {value!r}")
+
+
 def coatom(n: int) -> Antichain:
     """The antichain of all singletons of {0..n-1}: the unique coatom there."""
     _at_least(n, 0, "coatom", "n")
@@ -53,6 +59,8 @@ def complement_singletons(iv: ExtendedInterval, universe: Universe) -> GeneralAn
     empty interval is the set of all singletons, which has no finite
     symbolic form, so it is only available over a bounded universe.
     """
+    _is(iv, ExtendedInterval, "complement_singletons", "iv")
+    _is(universe, Universe, "complement_singletons", "universe")
     return meet_of_irreducibles(CriticalSet._trusted((iv,)), universe)
 
 
@@ -79,6 +87,8 @@ def critical_intervals(a: Antichain, universe: Universe) -> CriticalSet:
     which no nonempty interval avoids, yields the empty interval. Top has no
     critical intervals.
     """
+    _is(a, Antichain, "critical_intervals", "a")
+    _is(universe, Universe, "critical_intervals", "universe")
     n = universe.size
     if a.is_top:
         return CriticalSet._trusted(())
@@ -100,6 +110,8 @@ def meet_of_irreducibles(s: CriticalSet, universe: Universe) -> GeneralAntichain
     interval it leaves inside the universe index the same irreducible, so
     either form is accepted.
     """
+    _is(s, CriticalSet, "meet_of_irreducibles", "s")
+    _is(universe, Universe, "meet_of_irreducibles", "universe")
     n = universe.size
     es = s.elements
     if es and es[0].empty:
@@ -132,6 +144,9 @@ def relative_pseudo_complement(
     with a second pointer; total time is linear in the operand and output
     sizes.
     """
+    _is(a, Antichain, "relative_pseudo_complement", "a")
+    _is(b, Antichain, "relative_pseudo_complement", "b")
+    _is(universe, Universe, "relative_pseudo_complement", "universe")
     n = universe.size
     if n is not None:
         a._check_fits(n)

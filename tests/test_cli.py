@@ -271,6 +271,21 @@ class TestCheck:
         assert capsys.readouterr().out == "rank: ok (430 elements)\nOK\n"
         assert peak < 2 * 2**20
 
+    def test_sampled_pairs_are_not_held(self, capsys):
+        # 200,000 pairs as one list take about 13 MiB; drawn one at a time,
+        # the peak is that of 2,000 pairs
+        peaks = {}
+        for samples in (2_000, 200_000):
+            tracemalloc.start()
+            try:
+                code = main(["check", "--n", "1", "--ops", "leq", "--samples", str(samples)])
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert capsys.readouterr().out == f"leq: ok ({samples} pairs)\nOK\n"
+        assert peaks[200_000] < peaks[2_000] + 2**20, peaks
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_nonpositive_n_rejected(self, capsys, n):
         assert main(["check", "--n", n]) == 2

@@ -4,6 +4,7 @@ import io
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 import pytest
@@ -27,7 +28,6 @@ from minspan.engine import (
 from minspan.indexing import PositionalIndex, build_index
 from minspan.intervals import Interval
 from minspan.operators import (
-    _PAIRS,
     Containment,
     StrictContainment,
     block,
@@ -39,7 +39,7 @@ from minspan.operators import (
     strict_containment,
 )
 from minspan.oracle import oracle_query
-from minspan.queries import parse_query
+from minspan.queries import _INFIX, parse_query
 from minspan import queries as q
 
 FINAL = ac(
@@ -385,9 +385,10 @@ class TestContainmentModes:
 
     @pytest.mark.parametrize("node", [q.ContainmentOp, q.StrictContainmentOp])
     @pytest.mark.parametrize("mode", ["bogus", None, ["containing"]])
-    def test_bad_mode_in_a_built_node_is_named(self, index, node, mode):
+    def test_bad_mode_in_a_built_node_is_named(self, node, mode):
+        # the node checks its mode when it is built, before any plan is made
         with pytest.raises(ValueError, match=re.escape(repr(mode))):
-            evaluate(node(q.Term("a"), q.Term("b"), mode), index, "d")
+            node(q.Term("a"), q.Term("b"), mode)
 
 
 class TestRequiredTerms:
@@ -518,15 +519,24 @@ class TestWholeQueryOracle:
 class TestPairSteps:
     """An operator on two distinct terms is one plan step; on one term twice it is not."""
 
-    # each query on "a" and "b", with the operator its one step stands for
-    FUSED = {"a OR b": join, "a AND b": meet, "a MINUS b": pseudo_difference, "a < b": ordered_meet, '"a b"': block}
-    SAME_TERM = ["a AND a", "a OR a", "a MINUS a", '"a a"', "a < a"]
+    # each query on "a" and "b", with its operator's token and the public
+    # operator its one step stands for
+    FUSED = {
+        "a OR b": ("OR", join),
+        "a AND b": ("AND", meet),
+        "a MINUS b": ("MINUS", pseudo_difference),
+        "a !>> b": ("!>>", partial(filter_containment, mode=Containment.NOT_CONTAINING)),
+        "a < b": ("<", ordered_meet),
+        '"a b"': ("++", block),
+    }
+    SAME_TERM = ["a AND a", "a OR a", "a MINUS a", "a !>> a", '"a a"', "a < a"]
     DOCS = [["a"], ["a", "a"], ["a", "b", "a"], ["b", "a", "a", "c", "a"], ["c", "a", "c", "c", "a", "a"], ["b"], []]
 
     @pytest.mark.parametrize("text", FUSED)
     def test_distinct_terms_are_one_step(self, text):
         steps, _ = _compile(parse_query(text))
-        assert steps == [(_PAIRS[self.FUSED[text]], 0, ("a", "b"))]
+        token, _ = self.FUSED[text]
+        assert steps == [(_INFIX[token].kernel, 0, ("a", "b"))]
 
     @pytest.mark.parametrize("text", SAME_TERM)
     def test_same_term_keeps_the_general_steps(self, text):
@@ -537,7 +547,7 @@ class TestPairSteps:
     @pytest.mark.parametrize("text", FUSED)
     def test_document_without_a_term(self, text):
         index = build_index([("both", "b a c a b"), ("no_a", "c b b"), ("no_b", "a c a"), ("neither", "c c")])
-        op = self.FUSED[text]
+        _, op = self.FUSED[text]
         for doc_id in index.doc_ids():
             a, b = (evaluate(q.Term(t), index, doc_id) for t in "ab")
             assert run(index, text, doc_id) == op(a, b)

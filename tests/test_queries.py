@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import operands, operator, query_asts, show, stack_room
+from conftest import MODE_TOKENS, operands, operator, query_asts, show, stack_room
 from minspan import queries as q
 from minspan.engine import SearchResult, search
 from minspan.indexing import build_index
@@ -280,3 +280,24 @@ class TestNodeProtocol:
         assert {a: 1}[b] == 1
         shown = repr(a)
         assert shown == repr(b) and shown.count("Term(text=") == 5000
+
+
+class TestOperatorTable:
+    """Each token's node finds that token's row of the operator table, whatever form its mode takes."""
+
+    def test_twelve_tokens(self):
+        assert len(q._INFIX) == 12
+
+    @pytest.mark.parametrize("token", list(q._INFIX))
+    def test_parsed_node_finds_its_row(self, token):
+        ast = parse_query("a WITHIN 3" if token == "WITHIN" else f"a {token} b")
+        assert q._rule(ast) is q._INFIX[token]
+
+    @pytest.mark.parametrize("as_value", [False, True])
+    @pytest.mark.parametrize("mode", list(MODE_TOKENS))
+    def test_built_containment_node_finds_its_row(self, mode, as_value):
+        node = ContainmentOp if isinstance(mode, Containment) else StrictContainmentOp
+        built = node(Term("a"), Term("b"), str(mode.value) if as_value else mode)
+        assert (type(built.mode) is str) == as_value
+        assert q._rule(built) is q._INFIX[MODE_TOKENS[mode]]
+        assert built == parse_query(f"a {MODE_TOKENS[mode]} b")

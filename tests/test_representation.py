@@ -437,3 +437,27 @@ class TestAgainstThreePassReference:
         s = _witnessed(critical_intervals(b, UNBOUNDED), a)
         assert _checked(meet_of_irreducibles(s, UNBOUNDED)) == _reference_meet_of_irreducibles(s, UNBOUNDED)
         assert _checked(meet_of_irreducibles(s, B(n))) == _reference_meet_of_irreducibles(s, B(n))
+
+
+
+ONE = ac((1, 2))
+CASES = [
+    (critical_intervals, (ONE, 5), "universe"),
+    (critical_intervals, ([(1, 2)], B(5)), "a"),
+    (meet_of_irreducibles, (CriticalSet((ExtendedInterval.finite(0, 0),)), 5), "universe"),
+    (meet_of_irreducibles, ((ExtendedInterval.finite(0, 0),), B(5)), "s"),
+    (relative_pseudo_complement, (ONE, ONE, 5), "universe"),
+    (relative_pseudo_complement, (None, ONE, B(5)), "a"),
+    (relative_pseudo_complement, (ONE, Interval(1, 2), B(5)), "b"),
+    (complement_singletons, (Interval(1, 2), UNBOUNDED), "iv"),
+    (complement_singletons, (ExtendedInterval.finite(1, 2), None), "universe"),
+]
+
+
+class TestArgumentTypes:
+    """A public function given a value of the wrong type names the argument in a ValueError."""
+
+    @pytest.mark.parametrize("fn, args, name", CASES, ids=[f"{fn.__name__}-{name}" for fn, _, name in CASES])
+    def test_wrong_type_is_named(self, fn, args, name):
+        with pytest.raises(ValueError, match=rf"^{fn.__name__} needs {name} of type "):
+            fn(*args)
