@@ -18,11 +18,11 @@ from itertools import product
 from pathlib import Path
 
 from .antichain import Antichain
-from .engine import _plan, _ranked, _row, format_score, search
+from .engine import format_score, search
 from .enumeration import cardinality, enumerate_lattice, level_profile, width
 from .indexing import PositionalIndex, _records
 from .intervals import Universe
-from .operators import _FILTERS, block, filter_containment, join, leq, meet, ordered_meet
+from .operators import Containment, StrictContainment, block, filter_containment, join, leq, meet, ordered_meet
 from .operators import pseudo_difference, rank, within
 from .oracle import oracle_bound, oracle_crit, oracle_filter, oracle_leq, oracle_rank
 from .oracle import oracle_residual, oracle_spans, oracle_within
@@ -44,7 +44,7 @@ _CHECKS: dict[str, Callable[[Antichain, Antichain, int], bool]] = {
     "ordered_meet": lambda a, b, n: ordered_meet(a, b) == oracle_spans(a, b, "ordered"),
     "block": lambda a, b, n: block(a, b) == oracle_spans(a, b, "block"),
     **{m.value: lambda a, b, n, m=m: filter_containment(a, b, m) == oracle_filter(a, b, m)
-       for m in _FILTERS},
+       for m in (*Containment, *StrictContainment)},
     "within": lambda a, _, n: all(within(a, k) == oracle_within(a, k) for k in range(n + 1)),
 }
 _PER_ELEMENT = frozenset({"crit", "rank", "within"})
@@ -162,16 +162,11 @@ def _dump_whole(lines: Iterable[str], path: str) -> None:
 def _cmd_query(args: argparse.Namespace) -> int:
     with open(args.indexfile, "rb") as fh:
         index = PositionalIndex.load_jsonl(fh)
-    if args.doc is None:
-        results = search(index, args.query, k=args.snippets)
-    elif args.doc not in index.docs:
+    if args.doc is not None and args.doc not in index.docs:
         raise ValueError(f"unknown document id: {args.doc!r}")
-    else:
-        # evaluate, score and snippet that one document alone
-        steps, _ = _plan(args.query, args.snippets)
-        row = _row(steps, args.doc, index.docs[args.doc][1], args.snippets)
-        results = _ranked([row] if row else [])
-    for r in results:
+    for r in search(index, args.query, k=args.snippets):
+        if args.doc is not None and r.doc_id != args.doc:
+            continue
         fields = [r.doc_id]
         if args.score:
             fields.append(format_score(r.score))

@@ -171,7 +171,8 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
     only those holding the rarest required term are visited. Each match is
     ranked as a row of integers, and made a ``SearchResult`` once ranked.
     """
-    steps, required = _plan(query_text, k)
+    _at_least(k, 0, "search", "k")
+    steps, required = _compile(q.parse_query(query_text))
     docs = index.docs
     # the shortest of the index's own lists, which search only reads
     by_term = index._terms()
@@ -182,11 +183,6 @@ def search(index: PositionalIndex, query_text: str, k: int = 0) -> list[SearchRe
         if required <= postings.keys() and (row := _row(steps, doc_id, postings, k)):
             rows.append(row)
     return _ranked(rows)
-
-
-def _plan(query_text: str, k: int) -> tuple[list[_Step], frozenset[str]]:
-    _at_least(k, 0, "search", "k")
-    return _compile(q.parse_query(query_text))
 
 
 def _row(steps: list[_Step], doc_id: str, postings: Mapping[str, tuple[int, ...]], k: int) -> _Row | None:

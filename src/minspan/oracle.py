@@ -1,12 +1,18 @@
-"""Brute-force reference implementations.
+"""Brute-force reference implementations, and one fold of the closed forms.
 
-Everything here is computed straight from definitions: lower sets, set
-inclusion, exhaustive scans over all intervals of a bounded universe or all
-lattice elements, and for the retrieval operators every pair of members.
-Deliberately slow and deliberately independent of the closed-form
-operators, so the two can check each other. Shares only the value types,
-the query nodes with their post-order walk, and the lattice enumeration
-with the rest of the library.
+Everything here but :func:`fold_query` is computed straight from
+definitions: lower sets, set inclusion, exhaustive scans over all intervals
+of a bounded universe or all lattice elements, and for the retrieval
+operators every pair of members. Deliberately slow and deliberately
+independent of the closed-form operators, so the two can check each other.
+Shares only the value types, the query nodes with their post-order walk,
+and the lattice enumeration with the rest of the library.
+
+:func:`fold_query` is the one reference built on the closed forms: it folds
+the public operators over a query, with none of the search path's plan,
+pair kernels, pruning or point-set shortcuts, so it answers a query in a
+document of any length. :func:`oracle_query` ties it to the definitions on
+short documents.
 
 A lower set over {0..n-1} is kept as an int mask, bit i standing for the
 i-th interval of :func:`all_intervals` and one bit past them for the empty
@@ -21,11 +27,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import queries as q
 from .antichain import TOP, Antichain, CriticalSet
 from .intervals import EMPTY, ExtendedInterval, Interval
+from .operators import block, filter_containment, join, meet, ordered_meet, pseudo_difference, within
 
 __all__ = [
     "all_intervals",
@@ -42,6 +49,7 @@ __all__ = [
     "oracle_filter",
     "oracle_within",
     "oracle_query",
+    "fold_query",
 ]
 
 
@@ -284,5 +292,41 @@ def oracle_query(ast: q.Query, postings: Mapping[str, Iterable[int]], n: int) ->
                 value = oracle_spans(*operands, "ordered" if isinstance(node, q.OrderedMeet) else "block")
             case q.Within():
                 value = oracle_within(*operands, node.k)
+        values.append(value)
+    return values[0]
+
+
+def fold_query(ast: q.Query, postings: Mapping[str, Iterable[int]]) -> Antichain:
+    """The minimal witnesses of ``ast`` in a document, folded from the public closed forms.
+
+    ``postings`` maps each term of the document to its increasing
+    positions. The walk follows ``queries.postorder`` with one stack of
+    values: a term is ``Antichain.of_positions`` of its positions, ``OR``
+    and ``AND`` fold ``join`` and ``meet`` over their children, ``MINUS``
+    is ``pseudo_difference``, the containment modes ``filter_containment``,
+    ``<`` and ``++`` are ``ordered_meet`` and ``block``, and ``WITHIN`` is
+    ``within``.
+    """
+    values: list[Antichain] = []
+    for node, arity in q.postorder(ast):
+        operands = values[len(values) - arity :]
+        del values[len(values) - arity :]
+        match node:
+            case q.Term():
+                value = Antichain.of_positions(postings.get(node.text, ()))
+            case q.Or():
+                value = reduce(join, operands)
+            case q.And():
+                value = reduce(meet, operands)
+            case q.Minus():
+                value = pseudo_difference(*operands)
+            case q.ContainmentOp() | q.StrictContainmentOp():
+                value = filter_containment(*operands, node.mode)
+            case q.OrderedMeet():
+                value = ordered_meet(*operands)
+            case q.Block():
+                value = block(*operands)
+            case q.Within():
+                value = within(*operands, node.k)
         values.append(value)
     return values[0]

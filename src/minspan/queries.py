@@ -79,9 +79,35 @@ class _Node:
 _node = dataclass(frozen=True, eq=False, repr=False)
 
 
+def _check_operands(node: _Node, *fields: str) -> None:
+    """Raise ValueError, naming the node and the field, when a field holds no query node."""
+    for field in fields:
+        value = getattr(node, field)
+        if not isinstance(value, _Node):
+            raise ValueError(f"{type(node).__name__}.{field} must be a query node, not {type(value).__name__}")
+
+
+def _check_children(node: Or | And, word: str) -> None:
+    """Raise ValueError unless ``node.children`` is a tuple of at least two query nodes."""
+    children = node.children
+    if not isinstance(children, tuple):
+        raise ValueError(f"{type(node).__name__}.children must be a tuple, not {type(children).__name__}")
+    if len(children) < 2:
+        raise ValueError(f"{word} needs at least two children")
+    for child in children:
+        if not isinstance(child, _Node):
+            raise ValueError(f"{type(node).__name__}.children must hold query nodes, not {type(child).__name__}")
+
+
+# Each node checks its fields as it is built, so a value that is no node
+# never reaches evaluation as a parameter of the walk
 @_node
 class Term(_Node):
     text: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.text, str):
+            raise ValueError(f"Term.text must be a str, not {type(self.text).__name__}")
 
 
 @_node
@@ -89,8 +115,7 @@ class Or(_Node):
     children: tuple["Query", ...]
 
     def __post_init__(self) -> None:
-        if len(self.children) < 2:
-            raise ValueError("OR needs at least two children")
+        _check_children(self, "OR")
 
 
 @_node
@@ -98,14 +123,16 @@ class And(_Node):
     children: tuple["Query", ...]
 
     def __post_init__(self) -> None:
-        if len(self.children) < 2:
-            raise ValueError("AND needs at least two children")
+        _check_children(self, "AND")
 
 
 @_node
 class Minus(_Node):
     left: "Query"
     right: "Query"
+
+    def __post_init__(self) -> None:
+        _check_operands(self, "left", "right")
 
 
 @_node
@@ -114,6 +141,7 @@ class Within(_Node):
     k: int
 
     def __post_init__(self) -> None:
+        _check_operands(self, "child")
         _at_least(self.k, 1, "WITHIN", "window")
 
 
@@ -122,11 +150,17 @@ class OrderedMeet(_Node):
     left: "Query"
     right: "Query"
 
+    def __post_init__(self) -> None:
+        _check_operands(self, "left", "right")
+
 
 @_node
 class Block(_Node):
     left: "Query"
     right: "Query"
+
+    def __post_init__(self) -> None:
+        _check_operands(self, "left", "right")
 
 
 @_node
@@ -136,6 +170,7 @@ class ContainmentOp(_Node):
     mode: Containment
 
     def __post_init__(self) -> None:
+        _check_operands(self, "left", "right")
         _sweep(self.mode)
 
 
@@ -146,6 +181,7 @@ class StrictContainmentOp(_Node):
     mode: StrictContainment
 
     def __post_init__(self) -> None:
+        _check_operands(self, "left", "right")
         _sweep(self.mode)
 
 

@@ -66,13 +66,22 @@ class TestIndexAndQuery:
         assert capsys.readouterr().err == "minspan: error: unknown document id: 'other'\n"
 
     def test_doc_matches_filtered_search(self, capsys, tmp_path):
-        # --doc evaluates one document; its output is the line a full search
-        # prints for that id, or nothing when the query has no match there
+        # --doc prints the line a full search prints for that id, or nothing
+        # when the query has no match there
         other = tmp_path / "other.txt"
         other.write_text("porridge hot and porridge cold, some like it hot\n", encoding="utf-8")
         idx = tmp_path / "idx.jsonl"
         run_cli(capsys, "index", str(RHYME), str(other), "-o", str(idx))
-        queries = ("hot", "pease AND porridge", "porridge < hot", "porridge ++ hot", "(hot OR cold) WITHIN 1")
+        # "porridge OR pease" requires no term, so no document is pruned
+        queries = (
+            "hot",
+            "pease AND porridge",
+            "porridge < hot",
+            "porridge ++ hot",
+            "(hot OR cold) WITHIN 1",
+            "porridge OR pease",
+            "porridge MINUS hot",
+        )
         printed = 0
         for text in queries:
             argv = ("query", str(idx), "--q", text, "--score", "--snippets", "2")
@@ -246,12 +255,16 @@ class TestCheck:
     def test_exhaustive_small(self, capsys):
         code, out = run_cli(capsys, "check", "--n", "3", "--ops", "all")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[-1] == "OK"
-        # the 15 elements of the n = 3 lattice make 225 pairs
-        assert "leq: ok (225 pairs)" in lines
-        assert "rank: ok (15 elements)" in lines
-        assert any(line.startswith("implies: ok") for line in lines)
+        # the 15 elements of the n = 3 lattice make 225 pairs; the six
+        # containment modes follow their enums' order
+        per_element = {"crit", "rank", "within"}
+        ops = [
+            "leq", "join", "meet", "minus", "implies", "crit", "rank", "ordered_meet", "block",
+            "containing", "not_containing", "contained_in", "not_contained_in",
+            "strictly_containing", "not_strictly_containing", "within",
+        ]
+        label = {True: "15 elements", False: "225 pairs"}
+        assert out.splitlines() == [f"{op}: ok ({label[op in per_element]})" for op in ops] + ["OK"]
 
     def test_sampled(self, capsys):
         code, out = run_cli(capsys, "check", "--n", "5", "--ops", "leq,join,meet,minus", "--samples", "200")

@@ -16,8 +16,6 @@ from minspan.antichain import BOTTOM, TOP, Antichain
 from minspan.engine import (
     SearchResult,
     _compile,
-    _plan,
-    _ranked,
     _row,
     evaluate,
     format_score,
@@ -38,7 +36,7 @@ from minspan.operators import (
     pseudo_difference,
     strict_containment,
 )
-from minspan.oracle import oracle_query
+from minspan.oracle import fold_query, oracle_query
 from minspan.queries import _INFIX, parse_query
 from minspan import queries as q
 
@@ -476,26 +474,13 @@ class TestPruning:
         assert search(index, text, k) == expected
         assert search(PositionalIndex.load_jsonl(buf), text, k) == expected
 
-    @given(ast=query_asts(), docs=st.lists(documents, min_size=1, max_size=6), k=st.integers(0, 2))
-    def test_one_document_result_equals_filtered_search(self, ast, docs, k):
-        # the path of `minspan query --doc ID`: one document evaluated alone
-        text = show(ast)
-        index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(docs))
-        results = search(index, text, k)
-        steps, _ = _plan(text, k)
-        assert_result_types(results)
-        for doc_id in index.doc_ids():
-            row = _row(steps, doc_id, index.docs[doc_id][1], k)
-            alone = _ranked([row] if row else [])
-            assert_result_types(alone)
-            assert alone == [r for r in results if r.doc_id == doc_id]
 
-
-def assert_search_equals_oracle(ast, docs):
-    # each document's witnesses from the definitions, over lower sets of
-    # {0..MAX_WORDS-1}; the score and snippets from the witness list
+def assert_search_equals(ast, docs, reference):
+    # each document's witnesses from reference(ast, postings); the score and
+    # snippets from the witness list, not from score, which shares _measure
+    # with search
     index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(docs))
-    values = {doc_id: oracle_query(ast, postings, MAX_WORDS) for doc_id, (_, postings) in index.docs.items()}
+    values = {doc_id: reference(ast, postings) for doc_id, (_, postings) in index.docs.items()}
     scores = {
         doc_id: sum((Fraction(1, iv.length) for iv in value.intervals), Fraction(0))
         for doc_id, value in values.items()
@@ -507,6 +492,11 @@ def assert_search_equals_oracle(ast, docs):
         assert_result_types(results)
         got = [(r.doc_id, r.score, list(r.snippets)) for r in results]
         assert got == [(d, scores[d], reference_snippets(values[d], k)) for d in ranked]
+
+
+def assert_search_equals_oracle(ast, docs):
+    # the witnesses from the definitions, over lower sets of {0..MAX_WORDS-1}
+    assert_search_equals(ast, docs, partial(oracle_query, n=MAX_WORDS))
 
 
 class TestWholeQueryOracle:
@@ -559,11 +549,9 @@ class TestPointSetQueries:
     # the last document holds a on both sides of the one b AND c witness, more
     # than 3 times each, so the cut of k <= 3 drops points
     DOCS = TestPairSteps.DOCS + [["a", "a", "b", "a", "a", "a", "a", "c", "a", "a", "a", "a"]]
+    TEXTS = ["a OR b", "a MINUS b", "a << (b AND c)", "a !<< (b AND c)", "(a OR b) WITHIN 1", "(a OR b) OR c", "a OR a"]
 
-    @pytest.mark.parametrize(
-        "text",
-        ["a OR b", "a MINUS b", "a << (b AND c)", "a !<< (b AND c)", "(a OR b) WITHIN 1", "(a OR b) OR c", "a OR a"],
-    )
+    @pytest.mark.parametrize("text", TEXTS)
     def test_search_equals_oracle(self, text):
         ast = parse_query(text)
         index = build_index((f"doc{i}", " ".join(words)) for i, words in enumerate(self.DOCS))
@@ -583,3 +571,45 @@ class TestResults:
                 assert result == SearchResult(result.doc_id, score(value), tuple(snippets(value, k)))
                 assert result.score == sum(Fraction(1, iv.length) for iv in value.intervals)
                 assert list(result.snippets) == reference_snippets(value, k)
+
+
+def benchmark_words(rng, vocabulary, length):
+    """``length`` words drawn from ``vocabulary`` words sampled from "a".."h".
+
+    A query's terms are "a".."d", so one is often absent and its documents pruned.
+    """
+    return rng.choices(rng.sample("abcdefgh", vocabulary), k=length)
+
+
+@st.composite
+def benchmark_documents(draw):
+    """One to three documents of 200 to 2,000 words over 3 to 8 words; a seeded generator draws the words."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 3))
+    return [benchmark_words(rng, draw(st.integers(3, 8)), draw(st.integers(200, 2000))) for _ in range(count)]
+
+
+class TestFoldQuery:
+    """``fold_query`` is the reference at benchmark sizes; the definitions tie it down on short documents."""
+
+    # long sides meet the pair kernels, the point-set rows and pruning, which
+    # TestWholeQueryOracle's 16-word documents reach only with short sides
+    @settings(max_examples=200)
+    @given(ast=query_asts(), docs=benchmark_documents())
+    def test_search_equals_fold(self, ast, docs):
+        assert_search_equals(ast, docs, fold_query)
+
+    # each pair kernel, a term paired with itself and each point-set build, pinned beside the drawn ones
+    @pytest.mark.parametrize(
+        "text", dict.fromkeys([*TestPairSteps.FUSED, *TestPairSteps.SAME_TERM, *TestPointSetQueries.TEXTS])
+    )
+    def test_pinned_search_equals_fold(self, text):
+        rng = random.Random(text)
+        docs = [benchmark_words(rng, vocabulary, length) for vocabulary, length in ((3, 200), (5, 900), (8, 2000))]
+        assert_search_equals(parse_query(text), docs, fold_query)
+
+    @settings(max_examples=300)
+    @given(ast=query_asts(), words=documents | long_documents)
+    def test_fold_equals_oracle(self, ast, words):
+        postings = build_index([("d", " ".join(words))]).docs["d"][1]
+        assert fold_query(ast, postings) == oracle_query(ast, postings, MAX_WORDS)

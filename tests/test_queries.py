@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -183,12 +184,44 @@ class TestErrors:
             search(build_index([("d", "a")]), bad)
 
     def test_node_invariants(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^OR needs at least two children$"):
             Or((Term("a"),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^AND needs at least two children$"):
             And((Term("a"),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^WITHIN needs an int window >= 1, got 0$"):
             Within(Term("a"), 0)
+        with pytest.raises(ValueError, match="^'x' is not a containment mode$"):
+            ContainmentOp(Term("a"), Term("b"), "x")
+
+    # a hand-built node checks each field as it is built, and names the node and the field
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda: Term(["a"]), "Term.text must be a str, not list"),
+            (lambda: Term(5), "Term.text must be a str, not int"),
+            (lambda: Term(None), "Term.text must be a str, not NoneType"),
+            (lambda: Or([Term("a"), Term("b")]), "Or.children must be a tuple, not list"),
+            (lambda: And((Term("a"), "b")), "And.children must hold query nodes, not str"),
+            (lambda: And("ab"), "And.children must be a tuple, not str"),
+            (lambda: Minus(Term("a"), "b"), "Minus.right must be a query node, not str"),
+            (lambda: Minus("a", Term("b")), "Minus.left must be a query node, not str"),
+            (lambda: Within("a", 2), "Within.child must be a query node, not str"),
+            (lambda: OrderedMeet(Term("a"), None), "OrderedMeet.right must be a query node, not NoneType"),
+            (lambda: Block(("a",), Term("b")), "Block.left must be a query node, not tuple"),
+            (
+                lambda: ContainmentOp(Term("a"), "b", Containment.CONTAINING),
+                "ContainmentOp.right must be a query node, not str",
+            ),
+            (
+                lambda: StrictContainmentOp(1, Term("b"), StrictContainment.STRICTLY_CONTAINING),
+                "StrictContainmentOp.left must be a query node, not int",
+            ),
+        ],
+    )
+    def test_bad_field_is_named(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+            build()
+        assert type(err.value) is ValueError
 
 
 # binding strength of each node type, tightest highest; a term binds tightest
