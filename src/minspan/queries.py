@@ -6,6 +6,10 @@ their strict forms ``>>>`` / ``!>>>``, ``WITHIN k``, ``AND``, ``MINUS``,
 ``OR``. Everything is left-associative; parentheses group; a quoted phrase
 is sugar for a chain of ``++``.
 
+Each node checks its fields as it is built. Three shapes declare fields and
+checks once: ``_Run`` for ``Or`` and ``And``, ``_Pair`` for ``Minus``,
+``OrderedMeet`` and ``Block``, and ``_Filter`` for the containment nodes.
+
 The operator table, ``_INFIX``, holds all the parser and the plan compiler
 know of each operator, one row per token. One loop parses with two explicit
 stacks, one of operands and one of pending operators, so nesting depth
@@ -87,20 +91,6 @@ def _check_operands(node: _Node, *fields: str) -> None:
             raise ValueError(f"{type(node).__name__}.{field} must be a query node, not {type(value).__name__}")
 
 
-def _check_children(node: Or | And, word: str) -> None:
-    """Raise ValueError unless ``node.children`` is a tuple of at least two query nodes."""
-    children = node.children
-    if not isinstance(children, tuple):
-        raise ValueError(f"{type(node).__name__}.children must be a tuple, not {type(children).__name__}")
-    if len(children) < 2:
-        raise ValueError(f"{word} needs at least two children")
-    for child in children:
-        if not isinstance(child, _Node):
-            raise ValueError(f"{type(node).__name__}.children must hold query nodes, not {type(child).__name__}")
-
-
-# Each node checks its fields as it is built, so a value that is no node
-# never reaches evaluation as a parameter of the walk
 @_node
 class Term(_Node):
     text: str
@@ -108,31 +98,6 @@ class Term(_Node):
     def __post_init__(self) -> None:
         if not isinstance(self.text, str):
             raise ValueError(f"Term.text must be a str, not {type(self.text).__name__}")
-
-
-@_node
-class Or(_Node):
-    children: tuple["Query", ...]
-
-    def __post_init__(self) -> None:
-        _check_children(self, "OR")
-
-
-@_node
-class And(_Node):
-    children: tuple["Query", ...]
-
-    def __post_init__(self) -> None:
-        _check_children(self, "AND")
-
-
-@_node
-class Minus(_Node):
-    left: "Query"
-    right: "Query"
-
-    def __post_init__(self) -> None:
-        _check_operands(self, "left", "right")
 
 
 @_node
@@ -146,7 +111,23 @@ class Within(_Node):
 
 
 @_node
-class OrderedMeet(_Node):
+class _Run(_Node):
+    """At least two operands in a tuple; a message names the run by its class, ``Or`` as OR."""
+    children: tuple["Query", ...]
+
+    def __post_init__(self) -> None:
+        name, children = type(self).__name__, self.children
+        if not isinstance(children, tuple):
+            raise ValueError(f"{name}.children must be a tuple, not {type(children).__name__}")
+        if len(children) < 2:
+            raise ValueError(f"{name.upper()} needs at least two children")
+        for child in children:
+            if not isinstance(child, _Node):
+                raise ValueError(f"{name}.children must hold query nodes, not {type(child).__name__}")
+
+
+@_node
+class _Pair(_Node):
     left: "Query"
     right: "Query"
 
@@ -155,34 +136,53 @@ class OrderedMeet(_Node):
 
 
 @_node
-class Block(_Node):
-    left: "Query"
-    right: "Query"
+class _Filter(_Pair):
+    """Two operands and a mode of the enum its class is named after, whose members are ``_modes``."""
+    mode: Containment | StrictContainment
 
     def __post_init__(self) -> None:
-        _check_operands(self, "left", "right")
-
-
-@_node
-class ContainmentOp(_Node):
-    left: "Query"
-    right: "Query"
-    mode: Containment
-
-    def __post_init__(self) -> None:
-        _check_operands(self, "left", "right")
+        super().__post_init__()
         _sweep(self.mode)
+        if self.mode not in self._modes:  # a frozenset: "x" in an enum raises TypeError before 3.12
+            name = type(self).__name__
+            raise ValueError(f"{name} needs a {name.removesuffix('Op')} mode, got {self.mode!r}")
 
 
 @_node
-class StrictContainmentOp(_Node):
-    left: "Query"
-    right: "Query"
-    mode: StrictContainment
+class Or(_Run):
+    """The minimal spans of any child: their join."""
 
-    def __post_init__(self) -> None:
-        _check_operands(self, "left", "right")
-        _sweep(self.mode)
+
+@_node
+class And(_Run):
+    """The minimal spans holding a span of every child: their meet."""
+
+
+@_node
+class Minus(_Pair):
+    """The spans of ``left`` that hold no span of ``right``."""
+
+
+@_node
+class OrderedMeet(_Pair):
+    """The minimal spans of a span of ``left`` strictly before one of ``right``."""
+
+
+@_node
+class Block(_Pair):
+    """The span of a span of ``left`` and a span of ``right`` that starts right after it."""
+
+
+@_node
+class ContainmentOp(_Filter):
+    """The spans of ``left`` that contain or lie in a span of ``right``, or do not."""
+    _modes = frozenset(Containment)
+
+
+@_node
+class StrictContainmentOp(_Filter):
+    """The spans of ``left`` that strictly contain a span of ``right``, or do not."""
+    _modes = frozenset(StrictContainment)
 
 
 Query = Term | Or | And | Minus | Within | OrderedMeet | Block | ContainmentOp | StrictContainmentOp
@@ -210,21 +210,21 @@ def postorder(ast: Query) -> Plan:
 def _operands(n: Query) -> tuple[Query, ...]:
     if not isinstance(n, _Node):
         raise TypeError(f"not a query node: {n!r}")
-    if type(n) is Or or type(n) is And:
+    if isinstance(n, _Run):
         return n.children
     return tuple(v for v in vars(n).values() if isinstance(v, _Node))
 
 
 def _params(n: Query) -> tuple[object, ...]:
     """A node's fields other than its operands: a term's text, a window or a mode."""
-    if type(n) is Or or type(n) is And:
+    if isinstance(n, _Run):
         return ()
     return tuple(v for v in vars(n).values() if not isinstance(v, _Node))
 
 
 def _repr_node(n: Query, operands: list[str]) -> str:
     """The dataclass repr of ``n``, given the reprs of its operands."""
-    if type(n) is Or or type(n) is And:
+    if isinstance(n, _Run):
         fields = [f"children=({', '.join(operands)})"]
     else:
         it = iter(operands)

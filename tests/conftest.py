@@ -199,11 +199,22 @@ def show(ast: q.Query) -> str:
 
 
 def query_asts() -> st.SearchStrategy[q.Query]:
-    """Random query ASTs of every node type over the terms of VOCAB."""
+    """Random query ASTs of every node type over the terms of VOCAB.
+
+    One branch is one infix operator on two distinct bare terms, or WITHIN on
+    one bare term. Drawn as the root, it makes a pair kernel's result the
+    value that is ranked, in drawn queries and not only in pinned ones.
+    """
+
+    def infix(terms: list[str], token: str, k: int) -> q.Query:
+        return q.parse_query(f"{terms[0]} {token} {k if token == 'WITHIN' else terms[1]}")
+
+    two_terms = st.lists(st.sampled_from(VOCAB), min_size=2, max_size=2, unique=True)
 
     def extend(sub):
         some = st.lists(sub, min_size=2, max_size=3).map(tuple)
         return st.one_of(
+            st.builds(infix, two_terms, st.sampled_from(list(q._INFIX)), st.integers(1, 6)),
             some.map(q.Or),
             some.map(q.And),
             st.builds(q.Minus, sub, sub),

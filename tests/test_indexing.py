@@ -363,13 +363,19 @@ class TestDeepRecords:
         def nested(depth: int) -> str:
             return '{"doc": "a", "words": "", "extra": ' + "[" * depth + "7" + "]" * depth + "}"
 
-        # both calls are made from this frame, so they start at one stack depth
-        for deepest in range(sys.getrecursionlimit(), 0, -1):
+        # the decoder's own limit is not the recursion limit: 992 levels on
+        # 3.10 and 3.11, 1,496 on 3.12 and 9,997 on 3.13. It takes every depth
+        # up to its limit, so bisect for the deepest. Both calls are made from
+        # this frame, so they start at one stack depth
+        deepest, refused = 0, 2**17
+        while refused - deepest > 1:
+            depth = (deepest + refused) // 2
             try:
-                _plain_decode(nested(deepest))
+                _plain_decode(nested(depth))
             except RecursionError:
-                continue
-            break
+                refused = depth
+            else:
+                deepest = depth
         for depth in range(deepest - 4, deepest + 3):
             try:
                 _parse_record(nested(depth))

@@ -216,6 +216,15 @@ class TestErrors:
                 lambda: StrictContainmentOp(1, Term("b"), StrictContainment.STRICTLY_CONTAINING),
                 "StrictContainmentOp.left must be a query node, not int",
             ),
+            # a containment node takes only its own enum's modes, so a query has one tree
+            (
+                lambda: ContainmentOp(Term("a"), Term("b"), StrictContainment.STRICTLY_CONTAINING),
+                f"ContainmentOp needs a Containment mode, got {StrictContainment.STRICTLY_CONTAINING!r}",
+            ),
+            (
+                lambda: StrictContainmentOp(Term("a"), Term("b"), "containing"),
+                "StrictContainmentOp needs a StrictContainment mode, got 'containing'",
+            ),
         ],
     )
     def test_bad_field_is_named(self, build, message):
