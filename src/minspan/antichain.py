@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter, le, lt
+from operator import le, lt
 from typing import Iterable, Iterator, NoReturn
 
 from .intervals import EMPTY, FULL, ExtendedInterval, Interval, _at_least, _int_ends
@@ -34,8 +34,17 @@ def _as_interval(v: IntervalLike) -> Interval:
     raise ValueError(f"not an interval: {v!r}")
 
 
-def _reject(pairs: tuple[IntervalLike, ...]) -> NoReturn:
+def _members(values: object, owner: str, what: str) -> Iterator:
+    """``iter(values)``; a value that is not iterable raises ValueError naming ``owner`` and the value."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValueError(f"{owner} needs an iterable of {what}, got {values!r}") from None
+
+
+def _reject(pairs: Iterable[IntervalLike]) -> NoReturn:
     """Raise the ValueError that names the first member of ``pairs`` out of normal form."""
+    pairs = tuple(pairs)
     ivs = tuple(map(_as_interval, pairs))
     for prev, cur in zip(ivs, ivs[1:]):
         try:
@@ -69,19 +78,33 @@ class Antichain:
     __slots__ = ("_lefts", "_rights", "_top")
 
     def __init__(self, intervals: Iterable[IntervalLike] = ()):
-        pairs = tuple(intervals)
+        members = _members(intervals, "Antichain", "intervals")
+        # one pass reads the members into two columns and keeps none of them;
+        # a member is a pair when it has two items, read as [0] and [1]
+        lefts: list = []
+        rights: list = []
+        for member in members:
+            try:
+                if len(member) == 2:
+                    lefts.append(member[0])
+                    rights.append(member[1])
+                    # dropped before the next is read, so a zip refills its one pair
+                    del member
+                    continue
+            except (TypeError, LookupError):
+                pass
+            # an input that is not its own iterator is read again, so _reject names its members whole
+            _reject(intervals if members is not intervals else (*zip(lefts, rights), member, *members))
+        lefts, rights = tuple(lefts), tuple(rights)
         # whole-column passes; _reject only names the first bad member
         try:
-            lefts, rights = tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
-            # the itemgetters refuse a member shorter than two, so this refuses a longer one
-            pairs_only = sum(map(len, pairs)) == 2 * len(pairs)
             increasing = all(map(lt, lefts, lefts[1:])) and all(map(lt, rights, rights[1:]))
             # bools add up to an int, as they pass Interval; floats, Fractions and strs do not
-            normal = pairs_only and all(map(le, lefts, rights)) and increasing and type(sum(lefts) + sum(rights)) is int
-        except (TypeError, LookupError):
+            normal = increasing and all(map(le, lefts, rights)) and type(sum(lefts) + sum(rights)) is int
+        except TypeError:
             normal = False
         if not normal:
-            _reject(pairs)
+            _reject(intervals if members is not intervals else zip(lefts, rights))
         self._lefts, self._rights, self._top = lefts, rights, False
 
     # construction ---------------------------------------------------------
@@ -100,7 +123,7 @@ class Antichain:
     @classmethod
     def normalize(cls, intervals: Iterable[IntervalLike]) -> "Antichain":
         """The antichain of inclusion-minimal intervals of an arbitrary collection."""
-        members = list(map(_as_interval, intervals))
+        members = list(map(_as_interval, _members(intervals, "Antichain.normalize", "intervals")))
         try:
             ordered = sorted(members)
         except TypeError:
@@ -126,9 +149,15 @@ class Antichain:
 
     @classmethod
     def of_positions(cls, positions: Iterable[int]) -> "Antichain":
-        """Antichain of singleton intervals at strictly increasing positions."""
-        ps = tuple(positions)
-        return cls(zip(ps, ps))
+        """Antichain of singleton intervals at strictly increasing positions, one tuple as both columns."""
+        ps = tuple(_members(positions, "Antichain.of_positions", "positions"))
+        try:
+            normal = all(map(lt, ps, ps[1:])) and type(sum(ps)) is int
+        except TypeError:
+            normal = False
+        if not normal:
+            _reject(zip(ps, ps))
+        return cls._cols(ps, ps)
 
     @classmethod
     def top(cls) -> "Antichain":

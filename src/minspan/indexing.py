@@ -8,7 +8,7 @@ import re
 from collections import defaultdict
 from collections.abc import Container, Iterable, Iterator, Mapping
 from contextlib import contextmanager
-from itertools import count
+from itertools import count, repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 from types import MappingProxyType
 from typing import TextIO
@@ -70,8 +70,8 @@ class PositionalIndex:
     builds or loads share one ``str`` per term and one ``int`` per
     position; the list is as long as the longest document. A term that
     occurs once in a document gets the index's one 1-tuple for that
-    position. The 1-tuples sit in a table keyed by position and filled on
-    first use, so the table holds only the positions some term holds
+    position. The 1-tuples sit in a list beside the position ints, one
+    slot per position, ``None`` until a term first holds that position
     alone. A longer postings list is a tuple of its own.
     """
 
@@ -81,7 +81,7 @@ class PositionalIndex:
         self._docs: dict[str, tuple[int, Mapping[str, tuple[int, ...]]]] = {}
         self._by_term: defaultdict[str, list[str]] | None = None
         self._positions: list[int] = []
-        self._singles: dict[int, tuple[int]] = {}
+        self._singles: list[tuple[int] | None] = []
         self._term_table: dict[str, str] = {}
 
     @property
@@ -110,6 +110,7 @@ class PositionalIndex:
         _check_new(doc_id, self._docs)
         positions = self._positions
         if len(words) > len(positions):
+            self._singles += repeat(None, len(words) - len(positions))
             positions += range(len(positions), len(words))
         postings: defaultdict[str, list[int]] = defaultdict(list)
         for pos, term in zip(positions, words):
@@ -118,8 +119,8 @@ class PositionalIndex:
         table = self._term_table
         terms = map(table.setdefault, postings, postings)
         # a one-position list takes the shared 1-tuple of its position, made on first use
-        get, put = self._singles.get, self._singles.setdefault
-        tuples = [get(ps[0]) or put(ps[0], tuple(ps)) if len(ps) == 1 else tuple(ps) for ps in postings.values()]
+        singles = self._singles
+        tuples = [singles[ps[0]] or _single(singles, ps) if len(ps) == 1 else tuple(ps) for ps in postings.values()]
         self._docs[doc_id] = (len(words), MappingProxyType(dict(zip(terms, tuples))))
         self._by_term = None
 
@@ -169,6 +170,12 @@ class PositionalIndex:
                     raise ValueError(f"bad index record on line {line_no}: {exc}") from exc
         index._terms()
         return index
+
+
+def _single(singles: list[tuple[int] | None], ps: list[int]) -> tuple[int]:
+    """Fill the slot of the one position in ``ps`` with its 1-tuple, and return it."""
+    one = singles[ps[0]] = tuple(ps)
+    return one
 
 
 @contextmanager

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import gc
 import re
 from fractions import Fraction
+from operator import itemgetter, le, lt
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ac, antichains, assert_normal, interval_lists
 from minspan import LevelProfile, build_index, cardinality, enumerate_lattice, format_score, level_profile
 from minspan import search, snippets, width
-from minspan.antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain
+from minspan.antichain import BOTTOM, TOP, Antichain, CriticalSet, GeneralAntichain, _reject
 from minspan.intervals import EMPTY, FULL, UNBOUNDED, ExtendedInterval, Interval, Universe
 from minspan.operators import (
     block,
@@ -272,6 +274,155 @@ class TestConstructionPaths:
         # TOP is the one top value; the constructor builds proper antichains only
         with pytest.raises(TypeError):
             Antichain([], top=True)
+
+
+def _raising_midstream(error: Exception):
+    yield (0, 1)
+    raise error
+
+
+class TestConstructorInput:
+    @pytest.mark.parametrize(
+        "call, value, message",
+        [
+            (Antichain, 5, "Antichain needs an iterable of intervals, got 5"),
+            (Antichain, None, "Antichain needs an iterable of intervals, got None"),
+            (Antichain.normalize, 5, "Antichain.normalize needs an iterable of intervals, got 5"),
+            (Antichain.of_positions, None, "Antichain.of_positions needs an iterable of positions, got None"),
+            (Antichain.of_positions, 2.5, "Antichain.of_positions needs an iterable of positions, got 2.5"),
+        ],
+        ids=["init int", "init None", "normalize", "of_positions None", "of_positions float"],
+    )
+    def test_not_iterable_named(self, call, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("call", [Antichain, Antichain.normalize, Antichain.of_positions])
+    def test_midstream_error_propagates(self, call):
+        # only the iter() call is checked: a generator's own TypeError is no bad argument
+        with pytest.raises(TypeError, match="^from the generator$"):
+            call(_raising_midstream(TypeError("from the generator")))
+
+    def test_of_positions_shares_one_column(self):
+        a = Antichain.of_positions([0, 4, 7])
+        assert a._lefts is a._rights and a == Antichain([(0, 0), (4, 4), (7, 7)])
+        with pytest.raises(ValueError, match=r"^not in normal form: \[3\.\.3\] before \[1\.\.1\]$"):
+            Antichain.of_positions([3, 1])
+
+    def test_zip_construction_starts_no_collection(self):
+        # no member is kept past its own loop step, so no tracked object is made per member
+        n = 100_000
+        starts: list[int] = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            a = Antichain(zip(range(0, 2 * n, 2), range(1, 2 * n, 2)))
+        finally:
+            gc.callbacks.remove(count)
+            if not enabled:
+                gc.disable()
+        assert len(a) == n
+        assert starts == [], f"{len(starts)} collections"
+
+
+def _reference_construct(intervals) -> tuple[tuple, tuple]:
+    """The columns of the checked constructor as it was when it first made a tuple of its members."""
+    pairs = tuple(intervals)
+    try:
+        lefts, rights = tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
+        pairs_only = sum(map(len, pairs)) == 2 * len(pairs)
+        increasing = all(map(lt, lefts, lefts[1:])) and all(map(lt, rights, rights[1:]))
+        normal = pairs_only and all(map(le, lefts, rights)) and increasing and type(sum(lefts) + sum(rights)) is int
+    except (TypeError, LookupError):
+        normal = False
+    if not normal:
+        _reject(pairs)
+    return lefts, rights
+
+
+def _outcome(construct, members):
+    """The columns ``construct`` accepts, with their types, or the type and message of what it raises."""
+    try:
+        value = construct(members)
+    except Exception as exc:  # either side's error, of any type, is compared whole
+        return type(exc), str(exc)
+    lefts, rights = (value._lefts, value._rights) if isinstance(value, Antichain) else value
+    return lefts, rights, tuple(map(type, lefts + rights))
+
+
+_SCALARS = st.one_of(
+    st.integers(-3, 12),
+    st.booleans(),
+    st.floats(-3, 12, allow_nan=False),
+    st.just(float("nan")),
+    st.fractions(-3, 12, max_denominator=3),
+    st.text("ab", max_size=2),
+    st.none(),
+)
+_MEMBERS = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3).flatmap(lambda xs: st.sampled_from([tuple(xs), list(xs)])),
+    st.builds(lambda start, k: range(start, start + k), st.integers(-3, 12), st.integers(0, 3)),
+    st.binary(max_size=3),
+    # a pair in either order, a two-item set and two-key dicts, read by key or refused
+    st.tuples(st.integers(-3, 12), st.integers(-3, 12)),
+    st.just({1, 2}),
+    st.just({0: 2, 1: 5}),
+    st.just({"a": 1, "b": 2}),
+)
+# pairs of any two scalars, drawn as often as all other members together
+_PAIRS_OR_MEMBERS = st.one_of(st.tuples(_SCALARS, _SCALARS), _MEMBERS)
+
+
+@st.composite
+def _member_lists(draw) -> list:
+    """A normal antichain's pairs, as tuples, lists or Intervals, with a few arbitrary members put in."""
+    a = draw(antichains(max_size=4))
+    wrap = draw(st.sampled_from([tuple, list, lambda p: Interval(*p)]))
+    members = [wrap(iv) for iv in a.intervals]
+    for _ in range(draw(st.integers(0, 2))):
+        spot = draw(st.integers(0, len(members)))
+        members[spot:spot + draw(st.integers(0, 1))] = [draw(_PAIRS_OR_MEMBERS)]
+    return members
+
+
+# the message that lists the members, reached only when an extreme compares
+# false both ways, as against the one that names two members
+_CATCH_ALL = re.compile(r"not in normal form: (?!\[[^\]]*\] before \[[^\]]*\]$)")
+
+
+class TestConstructorDifferential:
+    @settings(max_examples=1000, deadline=None)
+    @given(_member_lists())
+    @example([(0, 1), [2, float("nan")]])
+    @example([Interval(0, float("nan"))])
+    @example([(0, 1), {2, 3}])
+    @example([{0: 2, 1: 5}, (3, 6)])
+    @example([(0, 1), ("a", "b"), 5])
+    def test_matches_reference(self, members):
+        expected = _outcome(_reference_construct, members)
+        assert _outcome(Antichain, members) == expected
+        got = _outcome(Antichain, iter(members))
+        if expected[0] is ValueError and _CATCH_ALL.match(expected[1]):
+            # the catch-all prints the members whole, and a member already
+            # read from a one-shot iterator prints as a pair
+            assert got[0] is ValueError and _CATCH_ALL.match(got[1])
+        else:
+            assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_SCALARS, max_size=5))
+    def test_of_positions_matches_reference(self, positions):
+        expected = _outcome(_reference_construct, zip(positions, positions))
+        assert _outcome(Antichain.of_positions, positions) == expected
+        assert _outcome(Antichain.of_positions, iter(positions)) == expected
 
 
 class TestDisplay:

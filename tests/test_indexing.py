@@ -425,14 +425,21 @@ class TestSharedObjects:
         self._assert_shared(loaded)
 
 
+def _filled(index: PositionalIndex) -> dict[int, tuple[int]]:
+    """The filled slots of the index's list of 1-tuples, by position."""
+    return {p: one for p, one in enumerate(index._singles) if one is not None}
+
+
 def _assert_singles_shared(index: PositionalIndex) -> None:
-    """Each one-position posting is the index's 1-tuple for its position, and the table holds no other."""
+    """Each one-position posting is the index's 1-tuple for its position, and no other slot is filled."""
     postings = [ps for _, postings in index.docs.values() for ps in postings.values()]
     assert all(type(ps) is tuple for ps in postings)
     singles = [ps for ps in postings if len(ps) == 1]
     assert all(ps is index._singles[ps[0]] for ps in singles)
-    assert index._singles.keys() == {ps[0] for ps in singles}
-    assert all(one[0] is index._positions[p] for p, one in index._singles.items())
+    # one slot per position, filled exactly for the positions some term holds alone
+    assert len(index._singles) == len(index._positions)
+    assert _filled(index).keys() == {ps[0] for ps in singles}
+    assert all(one == (p,) and one[0] is index._positions[p] for p, one in _filled(index).items())
 
 
 def _sharing(index: PositionalIndex) -> list[list[tuple[str, str]]]:
@@ -456,7 +463,7 @@ class TestSharedSingles:
         assert a["x"] is b["z"] and a["x"] == (0,)
         assert a["y"] is b["w"] and a["y"] == (300,)
         assert a["y"][0] is index._positions[300]
-        assert index._singles.keys() == {0, 300}
+        assert _filled(index).keys() == {0, 300}
         _assert_singles_shared(index)
 
     def test_built(self):
@@ -476,7 +483,7 @@ class TestSharedSingles:
         (_, a), (_, b) = index.docs["a"], index.docs["b"]
         assert a["p"] == b["p"] == (0, 2) and a["p"] is not b["p"]
         assert a["q"] is b["q"]
-        assert index._singles.keys() == {1}
+        assert _filled(index).keys() == {1}
 
 
 # documents over a small vocabulary, so that terms repeat within one and
